@@ -476,7 +476,7 @@ impl TraceSession {
             TraceFormat::Jsonl => nvp_obs::trace::write_jsonl(&records, &mut buf),
             TraceFormat::Chrome => nvp_obs::trace::write_chrome(&records, &mut buf),
         }
-        .and_then(|()| std::fs::write(&path, &buf))
+        .and_then(|()| nvp_store::atomic::write_atomic(&path, &buf))
         .map_err(|e| CliError {
             message: format!("cannot write trace `{}`: {e}", path.display()),
         })
@@ -1380,6 +1380,30 @@ mod tests {
     }
 
     #[test]
+    fn analyze_stats_name_the_emc_backend_actually_used() {
+        // N = 24: 625 markings, above the size cut for a dense solve, but
+        // the embedded chain is about three-quarters full, so the fill
+        // rule solves it by LU — and the stats line says so.
+        #[cfg(feature = "fault-inject")]
+        let _no_faults = {
+            // Hold the plan slot with a plan that never fires, so a fault
+            // armed by a concurrent test cannot reach this long solve.
+            use nvp_numerics::fault::{arm, FaultMode, FaultPlan, Site};
+            arm(FaultPlan::new(Site::Any, FaultMode::NanPoison).times(0))
+        };
+        let text = run_to_string(&["analyze", "--n", "24", "--stats"]).unwrap();
+        assert!(text.contains("625 tangible marking(s)"), "{text}");
+        assert!(
+            text.contains("stationary solves: 1 dense, 0 iterative"),
+            "{text}"
+        );
+        assert!(
+            text.contains("2 dedup class(es), 623 dedup hit(s)"),
+            "{text}"
+        );
+    }
+
+    #[test]
     fn sweep_stats_flag_reports_chain_reuse() {
         // An alpha sweep is reward-only: 4 points, 1 chain solve.
         let text = run_to_string(&[
@@ -1400,7 +1424,9 @@ mod tests {
         assert!(text.contains("metrics:"), "{text}");
         assert!(text.contains("nvp_cache_misses_total 1"), "{text}");
         assert!(text.contains("nvp_stage_solve_ns_count 1"), "{text}");
-        assert!(text.contains("nvp_dedup_classes_total 49"), "{text}");
+        // Fig. 3: 49 deterministic markings, keyed into 2 block classes.
+        assert!(text.contains("nvp_dedup_classes_total 2"), "{text}");
+        assert!(text.contains("nvp_dedup_hits_total 47"), "{text}");
         let (status, text) = run_full(&[
             "sweep",
             "--axis",

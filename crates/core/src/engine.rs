@@ -232,7 +232,9 @@ impl ChainKey {
 
     /// Explicit little-endian byte serialization of this key for the
     /// persistent solve store, prefixed with [`STORE_SOLVER_VERSION`] and
-    /// the solver's subordinated-chain dedup flag.
+    /// a path flag byte. The flag once told the dedup and per-row solver
+    /// paths apart; the block solver has one path, and the engine always
+    /// passes `true`.
     ///
     /// The std `Hash` implementation deliberately plays no part here: its
     /// `RandomState` seed is randomized per process, so std hashes cannot
@@ -273,7 +275,22 @@ impl ChainKey {
 /// steady-state vector (new uniformization scheme, different marking
 /// order, …): old records then simply stop matching any key and are
 /// overwritten, instead of serving stale bits as current results.
-pub const STORE_SOLVER_VERSION: u32 = 1;
+///
+/// Version 2: the block row stage solves subordinated chains in sorted
+/// local order and picks the EMC backend by fill, which moves last bits.
+pub const STORE_SOLVER_VERSION: u32 = 2;
+
+/// The backends the alternate-backend fallback retries, in order, for a
+/// chain of `markings` tangible markings. The primary solve picks dense LU
+/// for small chains and, above the size cut, for near-dense embedded
+/// chains, so only a small chain's alternate is known from its size. A
+/// large chain tries both: whichever the primary used, the other one runs.
+fn fallback_backends(markings: usize) -> Vec<StationaryBackend> {
+    match stationary_backend_for(markings) {
+        StationaryBackend::Dense => vec![StationaryBackend::IterativePower],
+        by_size => vec![alternate_backend(by_size), by_size],
+    }
+}
 
 fn method_to_u8(method: SolveMethod) -> u8 {
     match method {
@@ -1038,14 +1055,8 @@ impl AnalysisEngine {
     ) -> Result<Arc<ChainSolution>> {
         params.validate()?;
         let key = ChainKey::of(params, backend.max_markings());
-        // The on-disk identity of the solve; the dedup flag rides along
-        // because it selects the code path the stored bits came from (the
-        // paths are bit-identical by construction, but the claim is
-        // verified per flag, not assumed across flags).
-        let key_bytes = self
-            .store
-            .as_ref()
-            .map(|_| key.store_bytes(SolveOptions::default().dedup));
+        // The on-disk identity of the solve.
+        let key_bytes = self.store.as_ref().map(|_| key.store_bytes(true));
         let slot = {
             let mut map = self.lock_cache();
             Arc::clone(map.entry(key).or_default())
@@ -2147,40 +2158,40 @@ impl AnalysisEngine {
         if analytic_retry {
             self.fallbacks.inc();
             nvp_obs::event_with("fallback", || vec![("method", "alternate-backend".into())]);
-            let alt = SolveOptions {
-                backend: Some(alternate_backend(stationary_backend_for(
-                    graph.tangible_count(),
-                ))),
-                tolerance: RELAXED_TOLERANCE,
-                budget: budget.clone(),
-                jobs: self.jobs,
-                ..SolveOptions::default()
-            };
-            // The alternate attempt gets the same panic isolation as the
-            // primary; a panic here just means the fallback chain moves on.
-            let alt_result = catch_unwind(AssertUnwindSafe(|| {
-                nvp_mrgp::steady_state_with_options(graph, &alt)
-            }))
-            .unwrap_or_else(|payload| {
-                self.worker_panics.inc();
-                nvp_obs::event_with("panic_caught", || {
-                    vec![("site", "alternate-backend solve".into())]
+            for backend in fallback_backends(graph.tangible_count()) {
+                let alt = SolveOptions {
+                    backend: Some(backend),
+                    tolerance: RELAXED_TOLERANCE,
+                    budget: budget.clone(),
+                    jobs: self.jobs,
+                    ..SolveOptions::default()
+                };
+                // The alternate attempt gets the same panic isolation as the
+                // primary; a panic here just means the fallback chain moves on.
+                let alt_result = catch_unwind(AssertUnwindSafe(|| {
+                    nvp_mrgp::steady_state_with_options(graph, &alt)
+                }))
+                .unwrap_or_else(|payload| {
+                    self.worker_panics.inc();
+                    nvp_obs::event_with("panic_caught", || {
+                        vec![("site", "alternate-backend solve".into())]
+                    });
+                    Err(MrgpError::WorkerPanicked {
+                        site: "alternate-backend solve",
+                        payload: panic_payload(payload),
+                    })
                 });
-                Err(MrgpError::WorkerPanicked {
-                    site: "alternate-backend solve",
-                    payload: panic_payload(payload),
-                })
-            });
-            if let Ok((solution, stats)) = alt_result {
-                return Ok((
-                    solution,
-                    stats,
-                    Some(DegradedInfo {
-                        method: DegradedMethod::AlternateBackend,
-                        reason,
-                        half_widths: Vec::new(),
-                    }),
-                ));
+                if let Ok((solution, stats)) = alt_result {
+                    return Ok((
+                        solution,
+                        stats,
+                        Some(DegradedInfo {
+                            method: DegradedMethod::AlternateBackend,
+                            reason,
+                            half_widths: Vec::new(),
+                        }),
+                    ));
+                }
             }
         }
         let Some(hook) = &self.monte_carlo else {
@@ -2623,6 +2634,21 @@ mod tests {
         assert!((coarse.0 - default.0).abs() <= 50.0 + 0.5);
     }
 
+    #[test]
+    fn large_chains_retry_both_backends() {
+        // Small chains always solve dense first: the retry is iterative.
+        assert_eq!(
+            fallback_backends(49),
+            vec![StationaryBackend::IterativePower]
+        );
+        // Above the size cut the primary may have been either backend (a
+        // near-dense EMC goes dense by fill), so both are retried.
+        assert_eq!(
+            fallback_backends(625),
+            vec![StationaryBackend::Dense, StationaryBackend::IterativePower]
+        );
+    }
+
     #[cfg(feature = "fault-inject")]
     #[test]
     fn dense_failure_falls_back_to_the_alternate_backend() {
@@ -2964,8 +2990,7 @@ mod tests {
     }
 
     fn store_key(params: &SystemParams) -> Vec<u8> {
-        ChainKey::of(params, SolverBackend::Auto.max_markings())
-            .store_bytes(SolveOptions::default().dedup)
+        ChainKey::of(params, SolverBackend::Auto.max_markings()).store_bytes(true)
     }
 
     #[test]
@@ -3180,9 +3205,38 @@ mod tests {
         let mut chain_variant = base.clone();
         chain_variant.rejuvenation_interval = 601.0;
         assert_ne!(store_key(&base), store_key(&chain_variant));
-        // The dedup flag is part of the on-disk identity.
+        // The path flag byte is part of the on-disk identity.
         let key = ChainKey::of(&base, 100);
         assert_ne!(key.store_bytes(true), key.store_bytes(false));
+    }
+
+    #[test]
+    fn a_record_keyed_under_solver_version_1_is_a_miss() {
+        let store = store_in("solver-v1");
+        let params = SystemParams::paper_six_version();
+        AnalysisEngine::new()
+            .with_store(store.clone())
+            .chain(&params, SolverBackend::Auto)
+            .unwrap();
+        // Move the intact record to the key the version-1 solver would
+        // have written it under.
+        let current = store_key(&params);
+        assert_eq!(current[..4], STORE_SOLVER_VERSION.to_le_bytes());
+        let mut v1 = current.clone();
+        v1[..4].copy_from_slice(&1u32.to_le_bytes());
+        let record = match store.load(&current).unwrap() {
+            Load::Hit(record) => record,
+            other => panic!("expected hit, got {other:?}"),
+        };
+        std::fs::remove_file(store.entry_path(&current)).unwrap();
+        store.save(&v1, &record).unwrap();
+        assert!(matches!(store.load(&v1).unwrap(), Load::Hit(_)));
+        // The current solver never asks for version-1 bits: a cold solve.
+        let engine = AnalysisEngine::new().with_store(store.clone());
+        let solved = engine.chain(&params, SolverBackend::Auto).unwrap();
+        let stats = engine.stats();
+        assert_eq!((stats.store_hits, stats.store_misses), (0, 1));
+        assert!(solved.solve_time > Duration::ZERO, "a solve ran");
     }
 
     #[test]

@@ -17,6 +17,8 @@
 //!    marking the subordinated chain reached. Both the firing-time
 //!    distribution `π₀ e^{Q τ}` and the expected sojourn times
 //!    `∫₀^τ π₀ e^{Q s} ds` are computed by uniformization.
+//!    Markings whose subordinated chains have the same member set share one
+//!    uniformization: each is a column of that chain's block.
 //! 3. The stationary vector `ν` of the embedded chain is converted to
 //!    continuous-time probabilities via the conversion factors
 //!    `π(m) ∝ Σ_k ν(k) · C(k, m)`.
@@ -56,6 +58,7 @@
 #![warn(missing_docs)]
 
 mod error;
+pub mod reference;
 mod solver;
 
 pub use error::MrgpError;

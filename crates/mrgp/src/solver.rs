@@ -2,7 +2,7 @@
 
 use crate::{MrgpError, Result};
 use nvp_numerics::budget::SolveBudget;
-use nvp_numerics::ctmc::Ctmc;
+use nvp_numerics::ctmc::{BlockUniformization, Ctmc, TILE_WIDTH};
 use nvp_numerics::dtmc::stationary_distribution_with;
 use nvp_numerics::guard::{
     guard_probability_vector, DENSE_RENORMALIZATION_LIMIT, ESTIMATE_RENORMALIZATION_LIMIT,
@@ -10,9 +10,10 @@ use nvp_numerics::guard::{
 use nvp_numerics::pool::{Jobs, WorkerPool};
 use nvp_numerics::sparse::CsrBuilder;
 use nvp_numerics::{
-    stationary_backend_for, StationaryBackend, StationaryOptions, DEFAULT_MAX_ITERATIONS,
-    DEFAULT_TOLERANCE,
+    stationary_backend_for, stationary_backend_for_fill, StationaryBackend, StationaryOptions,
+    DEFAULT_MAX_ITERATIONS, DEFAULT_TOLERANCE,
 };
+use nvp_petri::net::TransitionId;
 use nvp_petri::reach::TangibleReachGraph;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -20,7 +21,7 @@ use std::sync::Mutex;
 
 /// Truncation accuracy of the uniformization series used for subordinated
 /// chains.
-const UNIFORMIZATION_EPS: f64 = 1e-13;
+pub(crate) const UNIFORMIZATION_EPS: f64 = 1e-13;
 
 /// How a steady state was computed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -54,18 +55,20 @@ pub struct MrgpStats {
     pub method: SolveMethod,
     /// Tangible markings in the solved graph.
     pub markings: usize,
-    /// Subordinated CTMCs built — one per tangible marking that enables a
-    /// deterministic transition. Zero unless `method == Mrgp`.
+    /// Subordinated chains — one per tangible marking that enables a
+    /// deterministic transition, whether or not its chain is shared with
+    /// other starts. Zero unless `method == Mrgp`.
     pub subordinated_chains: usize,
     /// State count of the largest subordinated CTMC (transient + absorbing).
     pub max_subordinated_states: usize,
-    /// Summed state count over all subordinated CTMCs.
+    /// Sum, over all starts, of their chain's state count.
     pub total_subordinated_states: usize,
     /// Deepest Poisson-series truncation used by any subordinated
     /// uniformization (transient / accumulated-sojourn solve).
     pub max_truncation_steps: usize,
-    /// Backend of the final stationary solve: the embedded chain for MRGP,
-    /// the CTMC itself otherwise.
+    /// Backend the final stationary solve actually used: for MRGP the
+    /// embedded chain's (chosen by its fill unless forced), for a CTMC the
+    /// chain's own (chosen by its size unless forced).
     pub backend: StationaryBackend,
     /// Number of stage-boundary probability guards that had to intervene
     /// (clamp negative round-off or renormalize non-unit mass).
@@ -74,7 +77,7 @@ pub struct MrgpStats {
     /// the calling thread); 0 when no such stage ran (CTMC / single
     /// marking), 1 for a strictly serial MRGP solve.
     pub workers_used: usize,
-    /// Subordinated-chain rows whose class solves ran on more than one
+    /// Subordinated-chain rows whose tiles were solved on more than one
     /// worker.
     pub parallel_rows: usize,
     /// Times the row stage asked the worker pool for permits and was
@@ -86,52 +89,44 @@ pub struct MrgpStats {
     /// any caught panic fails the solve — but the counter survives into the
     /// stats a caller collects from a failed attempt's partial state.
     pub worker_panics: usize,
-    /// Structural equivalence classes among the subordinated CTMCs — the
-    /// number of distinct (delay, transition-structure) fingerprints that
-    /// were actually solved. Equals `subordinated_chains` when every chain
-    /// is unique or dedup is disabled.
+    /// Block classes: distinct subordinated CTMCs — keyed by deterministic
+    /// transition, delay bits and sorted member set — each built and
+    /// uniformized once, with every start as one column of its block.
     pub dedup_classes: usize,
-    /// Subordinated chains whose solve was skipped because another chain in
-    /// the same structural class already provided the bit-identical
-    /// solution (`subordinated_chains - dedup_classes`).
+    /// Subordinated chains that shared another start's class instead of
+    /// needing their own (`subordinated_chains - dedup_classes`).
     pub dedup_hits: usize,
-    /// Class solves whose uniformization iterate reached a bitwise fixpoint
-    /// before the Poisson series ended, letting the solver skip the
-    /// remaining matrix products (see
-    /// [`nvp_numerics::ctmc::TransientStats`]).
+    /// Start columns whose uniformization iterate reached a bitwise
+    /// fixpoint before the Poisson series ended (see
+    /// [`nvp_numerics::ctmc::TransientStats`]); a tile whose columns have
+    /// all frozen skips its remaining matrix products.
     pub steady_state_detections: usize,
 }
 
 /// Options controlling a steady-state solve.
 ///
-/// The default reproduces [`steady_state`]'s historical behaviour: backend
-/// chosen by chain size, default tolerance and iteration cap, unlimited
-/// budget.
+/// The default is [`steady_state`]'s behaviour: backend chosen
+/// automatically, default tolerance and iteration cap, unlimited budget.
 #[derive(Debug, Clone)]
 pub struct SolveOptions {
     /// Resource budget checked before each subordinated-chain solve and
     /// inside iterative stationary solves.
     pub budget: SolveBudget,
-    /// Force a stationary-solve backend, or `None` to choose by chain size.
+    /// Force a stationary-solve backend, or `None` to choose automatically:
+    /// by the embedded chain's size and fill for MRGP solves
+    /// ([`nvp_numerics::stationary_backend_for_fill`]), by size for a plain
+    /// CTMC.
     pub backend: Option<StationaryBackend>,
     /// Convergence tolerance for iterative stationary solves.
     pub tolerance: f64,
     /// Iteration cap for iterative stationary solves.
     pub max_iterations: usize,
-    /// Worker budget for the subordinated-chain row stage. Every
-    /// deterministic marking's row is an independent transient solve, so
-    /// they fan out over threads drawing permits from the process-wide
-    /// [`WorkerPool`]; results are assembled in marking order and are
-    /// bit-identical to the serial path. [`Jobs::Fixed`]`(1)` forces the
-    /// historical strictly serial loop.
+    /// Worker budget for the subordinated-chain row stage. The tiles of
+    /// every class's block are independent, so they fan out over threads
+    /// drawing permits from the process-wide [`WorkerPool`]; results are
+    /// assembled in marking order and are bit-identical to the serial
+    /// path. [`Jobs::Fixed`]`(1)` forces the strictly serial loop.
     pub jobs: Jobs,
-    /// Solve one subordinated CTMC per structural equivalence class and map
-    /// the class solution back to every member, instead of solving each
-    /// chain independently. Chains with bitwise-equal delay and local
-    /// transition structure run the exact same float operations, so sharing
-    /// is bit-identical to the chain-per-marking path; `false` forces that
-    /// historical path (useful for differential tests and benchmarks).
-    pub dedup: bool,
 }
 
 impl Default for SolveOptions {
@@ -142,7 +137,6 @@ impl Default for SolveOptions {
             tolerance: DEFAULT_TOLERANCE,
             max_iterations: DEFAULT_MAX_ITERATIONS,
             jobs: Jobs::Auto,
-            dedup: true,
         }
     }
 }
@@ -301,6 +295,16 @@ pub fn steady_state_with_options(
     graph: &TangibleReachGraph,
     options: &SolveOptions,
 ) -> Result<(SteadyState, MrgpStats)> {
+    steady_state_with_rows(graph, options, solve_deterministic_rows)
+}
+
+/// [`steady_state_with_options`] with the subordinated rows computed by
+/// `rows`: the block row stage, or the per-start reference.
+pub(crate) fn steady_state_with_rows(
+    graph: &TangibleReachGraph,
+    options: &SolveOptions,
+    rows: RowStage,
+) -> Result<(SteadyState, MrgpStats)> {
     let n = graph.tangible_count();
     let mut span = nvp_obs::span("mrgp.solve");
     span.record("markings", n);
@@ -338,7 +342,7 @@ pub fn steady_state_with_options(
     }
     let solution = if has_deterministic {
         stats.method = SolveMethod::Mrgp;
-        solve_mrgp(graph, options, &mut stats)?
+        solve_mrgp(graph, options, &mut stats, rows)?
     } else {
         stats.method = SolveMethod::Ctmc;
         solve_ctmc(graph, options, &mut stats)?
@@ -386,23 +390,32 @@ fn solve_ctmc(
     Ok(SteadyState { probabilities: pi })
 }
 
-/// Full MRGP solve via the embedded Markov chain.
+/// Computes the embedded-chain row and conversion factors of every
+/// deterministic marking in `markings`, in the same order.
+pub(crate) type RowStage = fn(
+    &TangibleReachGraph,
+    &[usize],
+    &SolveOptions,
+    &mut MrgpStats,
+) -> Result<Vec<RowAndConversion>>;
+
+/// Full MRGP solve via the embedded Markov chain, with the subordinated
+/// rows of the deterministic markings computed by `rows`.
 fn solve_mrgp(
     graph: &TangibleReachGraph,
     options: &SolveOptions,
     stats: &mut MrgpStats,
+    rows: RowStage,
 ) -> Result<SteadyState> {
     let n = graph.tangible_count();
     let states = graph.states();
-    stats.backend = options.backend.unwrap_or_else(|| stationary_backend_for(n));
-    // Each deterministic marking's row is an independent subordinated-CTMC
-    // solve — the expensive part of the method — so solve them all up front,
-    // possibly on several workers (see `solve_deterministic_rows`).
+    // Each deterministic marking's row comes from a subordinated-CTMC
+    // solve — the expensive part of the method — so solve them all up
+    // front, possibly on several workers (see `solve_deterministic_rows`).
     let det_markings: Vec<usize> = (0..n)
         .filter(|&k| !states[k].deterministic.is_empty())
         .collect();
-    let det_solved = solve_deterministic_rows(graph, &det_markings, options, stats)?;
-    let mut det_solved = det_solved.into_iter();
+    let mut det_solved = rows(graph, &det_markings, options, stats)?.into_iter();
     // Embedded chain P (row-stochastic) and conversion factors C:
     // C[k][m] = expected time spent in marking m during a regeneration
     // period that starts in marking k. Assembled in marking order, so the
@@ -449,10 +462,23 @@ fn solve_mrgp(
             conversion[k] = conv;
         }
     }
+    let emc = emc.build();
+    // The backend follows the assembled chain's fill: an EMC whose
+    // regeneration periods reach most markings is near-dense, and one LU
+    // solve beats hundreds of power steps on it.
+    stats.backend = options
+        .backend
+        .unwrap_or_else(|| stationary_backend_for_fill(n, emc.nnz()));
     let nu = {
         let mut emc_span = nvp_obs::span("mrgp.emc");
         emc_span.record("markings", n);
-        stationary_distribution_with(&emc.build(), &options.stationary())?
+        emc_span.record("nnz", emc.nnz());
+        emc_span.record("backend", stats.backend.to_string());
+        let stationary = StationaryOptions {
+            backend: Some(stats.backend),
+            ..options.stationary()
+        };
+        stationary_distribution_with(&emc, &stationary)?
     };
     // Convert: pi(m) ∝ Σ_k nu(k) C[k][m].
     let mut pi = vec![0.0; n];
@@ -492,92 +518,113 @@ fn solve_mrgp(
 ///
 /// The work runs in three phases:
 ///
-/// 1. **Build** (serial): BFS each marking's subordinated CTMC and compute
-///    its structural fingerprint ([`ChainClassKey`]). Chains with equal keys
-///    form one equivalence class — they run the exact same float operations
-///    when solved, so one solve serves every member bit for bit.
-/// 2. **Class solve** (parallel): one transient/sojourn solve per class
-///    representative. When [`SolveOptions::jobs`] and the process-wide
-///    [`WorkerPool`] allow it, workers claim classes from a shared index;
-///    per-worker counters merge with order-independent operations (sums and
-///    maxes).
-/// 3. **Assemble** (serial): map each class solution back to its members'
-///    embedded-chain rows and conversion factors, in marking order — so the
-///    result is bit-identical however the class solves were scheduled.
+/// 1. **Key** (serial): BFS each marking's subordinated membership — the
+///    markings its exponential firings reach while its deterministic
+///    transition stays enabled (checking every member's delay), plus the
+///    absorbing markings that disable it. Markings with the same
+///    deterministic transition, delay bits and sorted member set share one
+///    [`SubordinatedClass`]: one CTMC in sorted local order, uniformized
+///    once, with one Poisson table.
+/// 2. **Tiles** (parallel): every start of a class is one column of a
+///    block, cut into [`TILE_WIDTH`]-wide tiles. Tiles of all classes
+///    share one claim queue, so workers stay busy however uneven the
+///    classes are. A worker turns each finished column straight into its
+///    marking's row and conversion factors.
+/// 3. **Assemble** (serial): the rows return in marking order.
 ///
-/// On the first class-solve error the workers stop claiming further classes
-/// (cancellation) and the lowest-index recorded error is returned. Budget
-/// checks run once per built chain and once per claimed class, exactly like
-/// the historical per-row path.
+/// A column's float operations do not depend on its tile or worker, so
+/// the result is bit-identical for every `jobs` setting. On the first
+/// error the workers stop claiming tiles (cancellation) and the
+/// lowest-index recorded error is returned. The budget is checked once
+/// per keyed marking and once per claimed tile.
 fn solve_deterministic_rows(
     graph: &TangibleReachGraph,
     markings: &[usize],
     options: &SolveOptions,
     stats: &mut MrgpStats,
 ) -> Result<Vec<RowAndConversion>> {
-    // Phase 1 — build every subordinated chain and group by fingerprint.
-    let mut chains = Vec::with_capacity(markings.len());
-    for &k in markings {
+    // Phase 1 — key every start and group the starts into classes.
+    let mut index = MembershipIndex::new(graph);
+    let mut classes: Vec<ClassDraft> = Vec::new();
+    let mut class_of_key: HashMap<ClassKey, usize> = HashMap::new();
+    for (slot, &k) in markings.iter().enumerate() {
         options.budget.check("subordinated chain solve")?;
-        chains.push(build_subordinated_isolated(graph, k, stats)?);
-    }
-    let mut class_of = Vec::with_capacity(chains.len());
-    let mut reps: Vec<usize> = Vec::new(); // chain index of each class representative
-    if options.dedup {
-        let mut seen: HashMap<&ChainClassKey, usize> = HashMap::new();
-        for chain in &chains {
-            match seen.get(&chain.key) {
-                Some(&class) => class_of.push(class),
-                None => {
-                    seen.insert(&chain.key, reps.len());
-                    class_of.push(reps.len());
-                    reps.push(class_of.len() - 1);
-                }
+        let membership = membership_isolated(&mut index, k, stats)?;
+        stats.subordinated_chains += 1;
+        let n_total = membership.key.members.len() + membership.absorbing.len();
+        stats.max_subordinated_states = stats.max_subordinated_states.max(n_total);
+        stats.total_subordinated_states += n_total;
+        let class = match class_of_key.get(&membership.key) {
+            Some(&class) => class,
+            None => {
+                class_of_key.insert(membership.key.clone(), classes.len());
+                classes.push(ClassDraft {
+                    absorbing: membership.absorbing,
+                    key: membership.key,
+                    starts: Vec::new(),
+                });
+                classes.len() - 1
             }
-        }
-    } else {
-        // Dedup disabled: one class per chain, reproducing the historical
-        // chain-per-marking schedule.
-        class_of.extend(0..chains.len());
-        reps.extend(0..chains.len());
+        };
+        classes[class].starts.push((slot, k));
     }
-    stats.dedup_classes += reps.len();
-    stats.dedup_hits += chains.len() - reps.len();
+    let classes = classes
+        .into_iter()
+        .map(|draft| SubordinatedClass::build(graph, draft, stats))
+        .collect::<Result<Vec<_>>>()?;
+    stats.dedup_classes += classes.len();
+    stats.dedup_hits += markings.len() - classes.len();
 
-    // Phase 2 — one solve per class, fanned out when permitted.
-    let solutions = solve_classes(&chains, &reps, options, stats)?;
-
-    // Phase 3 — per-member assembly in marking order.
-    Ok(chains
+    // Phase 2 — one claim queue over the tiles of every class.
+    let tiles: Vec<(usize, usize)> = classes
         .iter()
-        .zip(&class_of)
-        .map(|(chain, &class)| assemble_row(graph, chain, &solutions[class]))
+        .enumerate()
+        .flat_map(|(c, class)| {
+            (0..class.starts.len())
+                .step_by(TILE_WIDTH)
+                .map(move |first| (c, first))
+        })
+        .collect();
+    let solved = run_tiles(&tiles, options, stats, |&(c, first), local| {
+        classes[c].solve_tile_isolated(graph, first, local)
+    })?;
+
+    // Phase 3 — rows back in marking order.
+    let mut rows: Vec<Option<RowAndConversion>> = vec![None; markings.len()];
+    for (&(c, first), tile_rows) in tiles.iter().zip(solved) {
+        for (&(slot, _), row) in classes[c].starts[first..].iter().zip(tile_rows) {
+            rows[slot] = Some(row);
+        }
+    }
+    Ok(rows
+        .into_iter()
+        .map(|row| row.expect("every start belongs to one tile"))
         .collect())
 }
 
-/// Runs `class_solution_isolated` for every class representative in `reps`,
-/// returning the solutions in class order. Fans out over
-/// `std::thread::scope` workers claiming classes from a shared index when
-/// the jobs setting and the [`WorkerPool`] allow it; otherwise runs the
-/// strictly serial loop.
-fn solve_classes(
-    chains: &[SubordinatedChain],
-    reps: &[usize],
+/// Runs `solve` for every tile in `tiles`, returning the results in tile
+/// order. Fans out over `std::thread::scope` workers claiming tiles from a
+/// shared index when the jobs setting and the [`WorkerPool`] allow it;
+/// otherwise runs the strictly serial loop, which stops at the first
+/// error.
+fn run_tiles<T: Send>(
+    tiles: &[(usize, usize)],
     options: &SolveOptions,
     stats: &mut MrgpStats,
-) -> Result<Vec<ClassSolution>> {
-    let serial = |stats: &mut MrgpStats| -> Result<Vec<ClassSolution>> {
+    solve: impl Fn(&(usize, usize), &mut MrgpStats) -> Result<T> + Sync,
+) -> Result<Vec<T>> {
+    let serial = |stats: &mut MrgpStats| -> Result<Vec<T>> {
         stats.workers_used = 1;
-        let mut out = Vec::with_capacity(reps.len());
-        for &i in reps {
+        let mut out = Vec::with_capacity(tiles.len());
+        for tile in tiles {
             options.budget.check("subordinated chain solve")?;
-            out.push(class_solution_isolated(&chains[i], stats)?);
+            out.push(solve(tile, stats)?);
         }
         Ok(out)
     };
     let pool = WorkerPool::global();
-    let desired = options.jobs.desired_workers(reps.len(), pool.capacity());
-    if desired <= 1 || reps.len() <= 1 {
+    let desired = options.jobs.desired_workers(tiles.len(), pool.capacity());
+    if desired <= 1 || tiles.len() <= 1 {
         return serial(stats);
     }
     let permits = pool.try_acquire(desired - 1);
@@ -588,17 +635,16 @@ fn solve_classes(
         return serial(stats);
     }
     stats.workers_used = permits.count() + 1;
-    stats.parallel_rows = chains.len();
+    stats.parallel_rows = stats.subordinated_chains;
     let next = AtomicUsize::new(0);
     let cancel = AtomicBool::new(false);
-    let slots: Vec<Mutex<Option<Result<ClassSolution>>>> =
-        reps.iter().map(|_| Mutex::new(None)).collect();
+    let slots: Vec<Mutex<Option<Result<T>>>> = tiles.iter().map(|_| Mutex::new(None)).collect();
     let merged = Mutex::new(MrgpStats::default());
     let work = || {
         let mut local = MrgpStats::default();
         loop {
             let idx = next.fetch_add(1, Ordering::Relaxed);
-            let Some(&i) = reps.get(idx) else {
+            let Some(tile) = tiles.get(idx) else {
                 break;
             };
             // A slot skipped after cancellation stays `None`; the error that
@@ -606,15 +652,15 @@ fn solve_classes(
             if cancel.load(Ordering::Relaxed) {
                 continue;
             }
-            let sol = options
+            let solved = options
                 .budget
                 .check("subordinated chain solve")
                 .map_err(MrgpError::from)
-                .and_then(|()| class_solution_isolated(&chains[i], &mut local));
-            if sol.is_err() {
+                .and_then(|()| solve(tile, &mut local));
+            if solved.is_err() {
                 cancel.store(true, Ordering::Relaxed);
             }
-            *slots[idx].lock().expect("no panics while holding lock") = Some(sol);
+            *slots[idx].lock().expect("no panics while holding lock") = Some(solved);
         }
         // Sums and maxes commute, so the merge order (worker completion
         // order) cannot influence the final counters.
@@ -634,17 +680,17 @@ fn solve_classes(
     stats.max_truncation_steps = stats.max_truncation_steps.max(local.max_truncation_steps);
     stats.steady_state_detections += local.steady_state_detections;
     stats.worker_panics += local.worker_panics;
-    let mut out = Vec::with_capacity(reps.len());
+    let mut out = Vec::with_capacity(tiles.len());
     for slot in slots {
         match slot.into_inner().expect("lock not poisoned") {
-            Some(Ok(sol)) => out.push(sol),
+            Some(Ok(solved)) => out.push(solved),
             Some(Err(e)) => return Err(e),
             // Cancelled before being solved: an error exists at some later
-            // slot (cancellation is only ever set by a failing class).
+            // slot (cancellation is only ever set by a failing tile).
             None => {}
         }
     }
-    if out.len() != reps.len() {
+    if out.len() != tiles.len() {
         unreachable!("cancelled slots imply a recorded error");
     }
     Ok(out)
@@ -663,122 +709,84 @@ pub(crate) fn panic_payload(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// Embedded-chain row entries and conversion factors, both as sparse
-/// `(marking index, value)` lists.
-type RowAndConversion = (Vec<(usize, f64)>, Vec<(usize, f64)>);
-
-/// Structural fingerprint of a subordinated CTMC: the deterministic delay
-/// and the exact `add_rate` sequence over dense local indices, both at bit
-/// granularity.
+/// Runs `f` under `catch_unwind`: a panic becomes
+/// [`MrgpError::WorkerPanicked`] at `site` (counted in `stats`) instead of
+/// unwinding through the solve — or through `std::thread::scope` and the
+/// whole process.
 ///
-/// Two chains with equal keys are built by identical construction calls, so
-/// their [`Ctmc`]s are bitwise-equal values — and since the transient solve
-/// is a deterministic pure-float function of the chain, the delay, and the
-/// (shared, `e₀`) initial vector, their solutions are bit-identical too.
-/// The deterministic firing's branch rows are deliberately *not* part of the
-/// key: they only enter during per-member row assembly, which runs after the
-/// shared solve, so they cannot constrain class membership.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-struct ChainClassKey {
-    /// Bit pattern of the deterministic delay `tau`.
-    tau_bits: u64,
-    /// Transient (non-absorbing) state count.
-    n_trans: usize,
-    /// Total state count, transient + absorbing.
-    n_total: usize,
-    /// `(from, to, rate bits)` in `add_rate` order.
-    transitions: Vec<(usize, usize, u64)>,
-}
-
-/// One marking's subordinated CTMC, built but not yet solved: the BFS
-/// membership (global marking indices), the chain over local indices, and
-/// the structural fingerprint used to pool solves across markings.
-struct SubordinatedChain {
-    /// The deterministic marking this chain subordinates.
-    k: usize,
-    /// The deterministic transition enabled in `k`.
-    det_transition: nvp_petri::net::TransitionId,
-    /// Deterministic delay.
-    tau: f64,
-    /// Global marking index of each transient local state (`members[0] == k`).
-    members: Vec<usize>,
-    /// Global marking index of each absorbing local state (offset by
-    /// `members.len()` in the chain).
-    absorbing_members: Vec<usize>,
-    /// The subordinated CTMC: transient states first, then absorbing.
-    sub: Ctmc,
-    /// Structural equivalence key.
-    key: ChainClassKey,
-}
-
-/// The shared solution of one structural class: the transient distribution
-/// and accumulated sojourn at `tau`, over local state indices.
-struct ClassSolution {
-    at_tau: Vec<f64>,
-    sojourn: Vec<f64>,
-}
-
-/// [`build_subordinated`] wrapped in `catch_unwind`: a panic while building
-/// one marking's chain becomes [`MrgpError::WorkerPanicked`] for that row
-/// instead of unwinding the whole solve.
-///
-/// `AssertUnwindSafe` is justified: on unwind the partially updated `stats`
-/// counters are still consulted (they may undercount the aborted build,
-/// which is fine for observability), and the chain itself is discarded.
-fn build_subordinated_isolated(
-    graph: &TangibleReachGraph,
-    k: usize,
+/// `AssertUnwindSafe` is justified: on unwind the partially updated
+/// `stats` counters are still consulted (they may undercount the aborted
+/// work, which is fine for observability) and everything else `f` built is
+/// discarded.
+pub(crate) fn isolated<T>(
+    site: &'static str,
+    marking: usize,
     stats: &mut MrgpStats,
-) -> Result<SubordinatedChain> {
-    // One span per row, so a trace still shows every deterministic marking
-    // even when its solve is pooled into a shared class.
-    let mut span = nvp_obs::span("mrgp.row");
-    span.record("marking", k);
-    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        build_subordinated(graph, k, stats)
-    }))
-    .unwrap_or_else(|payload| {
+    f: impl FnOnce(&mut MrgpStats) -> Result<T>,
+) -> Result<T> {
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(stats))).unwrap_or_else(|payload| {
         stats.worker_panics += 1;
         nvp_obs::event_with("panic_caught", || {
-            vec![
-                ("site", "subordinated chain build".into()),
-                ("marking", k.into()),
-            ]
+            vec![("site", site.into()), ("marking", marking.into())]
         });
         Err(MrgpError::WorkerPanicked {
-            site: "subordinated chain build",
+            site,
             payload: panic_payload(payload),
         })
     })
 }
 
-/// Builds the subordinated CTMC for marking `k`, which enables exactly one
-/// deterministic transition: BFS over the markings reachable through
-/// exponential firings while that transition stays enabled (markings that
-/// disable it are absorbing — regeneration on entry), then the chain and its
-/// structural fingerprint.
-fn build_subordinated(
-    graph: &TangibleReachGraph,
-    k: usize,
-    stats: &mut MrgpStats,
-) -> Result<SubordinatedChain> {
-    let states = graph.states();
-    let det = &states[k].deterministic[0];
-    let det_transition = det.transition;
-    let tau = det.value;
+/// Embedded-chain row entries and conversion factors, both as sparse
+/// `(marking index, value)` lists.
+pub(crate) type RowAndConversion = (Vec<(usize, f64)>, Vec<(usize, f64)>);
 
-    // BFS over markings where `det_transition` remains enabled with the same
-    // delay. `local` maps global marking index -> subordinated state index.
-    let mut local: HashMap<usize, usize> = HashMap::new();
-    let mut members: Vec<usize> = Vec::new(); // transient subordinated states
-    let mut absorbing: HashMap<usize, usize> = HashMap::new(); // global -> local
-    let mut absorbing_members: Vec<usize> = Vec::new();
-    local.insert(k, 0);
-    members.push(k);
-    let mut frontier = vec![k];
-    while let Some(g) = frontier.pop() {
-        for arc in &states[g].exponential {
-            for &(to, p) in arc.targets.entries() {
+/// The identity of a subordinated CTMC: the deterministic transition, the
+/// bits of its delay, and the sorted set of transient members. Everything
+/// else — the absorbing markings, every rate, the uniformization — is a
+/// function of these, so starts with equal keys are columns of one block.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+struct ClassKey {
+    transition: TransitionId,
+    tau_bits: u64,
+    /// Global marking indices, ascending.
+    members: Vec<usize>,
+}
+
+/// One start's subordinated membership, as its BFS found it.
+struct Membership {
+    key: ClassKey,
+    /// Absorbing markings (global indices, ascending).
+    absorbing: Vec<usize>,
+}
+
+/// What the membership BFS of every start reads, flattened once per
+/// solve, plus reusable scratch: keying `M` starts then costs tight loops
+/// over index arrays, with no hashing and no per-start clearing.
+struct MembershipIndex {
+    /// Positive-flux exponential successors of marking `g`, in arc and
+    /// branch order: `succ[succ_ptr[g]..succ_ptr[g + 1]]`. A self-loop is
+    /// listed too (the visited set makes it a no-op).
+    succ_ptr: Vec<usize>,
+    succ: Vec<usize>,
+    /// The deterministic transition each marking enables, with its delay
+    /// (at most one: checked before the row stage runs).
+    det: Vec<Option<(TransitionId, f64)>>,
+    /// Generation-stamped visited set: `stamp[g] == generation` marks a
+    /// member, `generation + 1` an absorbing marking, anything lower an
+    /// unvisited one.
+    stamp: Vec<u32>,
+    generation: u32,
+    frontier: Vec<usize>,
+}
+
+impl MembershipIndex {
+    fn new(graph: &TangibleReachGraph) -> MembershipIndex {
+        let states = graph.states();
+        let mut succ_ptr = Vec::with_capacity(states.len() + 1);
+        let mut succ = Vec::new();
+        succ_ptr.push(0);
+        for state in states {
+            for arc in &state.exponential {
                 // Only targets with positive probability flux are reachable
                 // through the subordinated chain. An arc whose
                 // marking-dependent rate evaluates to 0 here (or a branch
@@ -786,180 +794,290 @@ fn build_subordinated(
                 // following it can reject perfectly consistent nets with a
                 // spurious InconsistentDelay, or absorb mass that can never
                 // flow.
-                if arc.value * p <= 0.0 {
+                succ.extend(
+                    arc.targets
+                        .entries()
+                        .iter()
+                        .filter(|&&(_, p)| arc.value * p > 0.0)
+                        .map(|&(to, _)| to),
+                );
+            }
+            succ_ptr.push(succ.len());
+        }
+        MembershipIndex {
+            succ_ptr,
+            succ,
+            det: states
+                .iter()
+                .map(|s| s.deterministic.first().map(|d| (d.transition, d.value)))
+                .collect(),
+            stamp: vec![0; states.len()],
+            generation: 0,
+            frontier: Vec::new(),
+        }
+    }
+
+    /// BFS from marking `k`, which enables exactly one deterministic
+    /// transition, over the markings reachable through exponential firings
+    /// with positive flux while that transition stays enabled. Markings
+    /// that disable it are absorbing (regeneration on entry); a member
+    /// whose delay differs from `k`'s is [`MrgpError::InconsistentDelay`].
+    fn membership(&mut self, k: usize) -> Result<Membership> {
+        let (transition, tau) = self.det[k].expect("a deterministic marking");
+        self.generation += 2;
+        let (member, absorbed) = (self.generation, self.generation + 1);
+        self.frontier.clear();
+        self.stamp[k] = member;
+        self.frontier.push(k);
+        let mut members = vec![k];
+        let mut absorbing = Vec::new();
+        while let Some(g) = self.frontier.pop() {
+            for &to in &self.succ[self.succ_ptr[g]..self.succ_ptr[g + 1]] {
+                if self.stamp[to] >= member {
                     continue;
                 }
-                if local.contains_key(&to) || absorbing.contains_key(&to) {
-                    continue;
-                }
-                let to_det = states[to]
-                    .deterministic
-                    .iter()
-                    .find(|d| d.transition == det_transition);
-                match to_det {
-                    Some(d) => {
-                        if (d.value - tau).abs() > 1e-9 * tau.max(1.0) {
+                match self.det[to] {
+                    Some((t, delay)) if t == transition => {
+                        if (delay - tau).abs() > 1e-9 * tau.max(1.0) {
                             return Err(MrgpError::InconsistentDelay {
                                 marking: to,
                                 expected: tau,
-                                actual: d.value,
+                                actual: delay,
                             });
                         }
-                        let idx = members.len();
-                        local.insert(to, idx);
+                        self.stamp[to] = member;
                         members.push(to);
-                        frontier.push(to);
+                        self.frontier.push(to);
                     }
-                    None => {
-                        let idx = absorbing_members.len();
-                        absorbing.insert(to, idx);
-                        absorbing_members.push(to);
+                    _ => {
+                        self.stamp[to] = absorbed;
+                        absorbing.push(to);
                     }
                 }
             }
         }
-    }
-
-    // Subordinated CTMC: transient states first, then absorbing states. The
-    // fingerprint records the exact construction sequence, so equal keys
-    // guarantee bitwise-equal chains.
-    let n_trans = members.len();
-    let n_total = n_trans + absorbing_members.len();
-    stats.subordinated_chains += 1;
-    stats.max_subordinated_states = stats.max_subordinated_states.max(n_total);
-    stats.total_subordinated_states += n_total;
-    let mut sub = Ctmc::new(n_total);
-    let mut edges: Vec<(usize, usize, u64)> = Vec::new();
-    for (s_local, &s_global) in members.iter().enumerate() {
-        for arc in &states[s_global].exponential {
-            for &(to, p) in arc.targets.entries() {
-                let rate = arc.value * p;
-                if rate <= 0.0 {
-                    continue;
+        // Canonical order. A chain covering a large share of the graph is
+        // listed by one scan of the stamps, cheaper than sorting it.
+        if (members.len() + absorbing.len()) * 8 >= self.stamp.len() {
+            members.clear();
+            absorbing.clear();
+            for (g, &stamp) in self.stamp.iter().enumerate() {
+                if stamp == member {
+                    members.push(g);
+                } else if stamp == absorbed {
+                    absorbing.push(g);
                 }
-                let target_local = if let Some(&t) = local.get(&to) {
-                    t
-                } else {
-                    n_trans + absorbing[&to]
-                };
-                if target_local == s_local {
-                    continue; // self-loop: no effect
-                }
-                sub.add_rate(s_local, target_local, rate)?;
-                edges.push((s_local, target_local, rate.to_bits()));
             }
+        } else {
+            members.sort_unstable();
+            absorbing.sort_unstable();
         }
-    }
-    let key = ChainClassKey {
-        tau_bits: tau.to_bits(),
-        n_trans,
-        n_total,
-        transitions: edges,
-    };
-    Ok(SubordinatedChain {
-        k,
-        det_transition,
-        tau,
-        members,
-        absorbing_members,
-        sub,
-        key,
-    })
-}
-
-/// [`class_solution`] wrapped in `catch_unwind`, mirroring the historical
-/// per-row isolation: a panic inside one class's shared solve becomes
-/// [`MrgpError::WorkerPanicked`] for that class — failing the solve with a
-/// typed error — instead of unwinding through `std::thread::scope` and
-/// aborting the whole process.
-fn class_solution_isolated(
-    chain: &SubordinatedChain,
-    stats: &mut MrgpStats,
-) -> Result<ClassSolution> {
-    // One span per class solve, opened on the thread that runs it, so a
-    // trace shows which worker handled which equivalence class.
-    let mut span = nvp_obs::span("mrgp.class");
-    span.record("representative", chain.k);
-    span.record("states", chain.sub.n_states());
-    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        class_solution(chain, stats)
-    }))
-    .unwrap_or_else(|payload| {
-        stats.worker_panics += 1;
-        nvp_obs::event_with("panic_caught", || {
-            vec![
-                ("site", "subordinated class solve".into()),
-                ("marking", chain.k.into()),
-            ]
-        });
-        Err(MrgpError::WorkerPanicked {
-            site: "subordinated class solve",
-            payload: panic_payload(payload),
+        Ok(Membership {
+            key: ClassKey {
+                transition,
+                tau_bits: tau.to_bits(),
+                members,
+            },
+            absorbing,
         })
+    }
+}
+
+/// A class before its chain is built: the key, the absorbing markings and
+/// the `(row slot, marking)` of every start keyed to it, ascending.
+struct ClassDraft {
+    key: ClassKey,
+    absorbing: Vec<usize>,
+    starts: Vec<(usize, usize)>,
+}
+
+/// One subordinated CTMC shared by all the starts keyed to it: transient
+/// members in ascending marking order, then the absorbing markings, also
+/// ascending. Uniformized once for its delay.
+struct SubordinatedClass {
+    transition: TransitionId,
+    members: Vec<usize>,
+    absorbing: Vec<usize>,
+    starts: Vec<(usize, usize)>,
+    block: BlockUniformization,
+}
+
+/// [`MembershipIndex::membership`] under [`isolated`]: a panic while
+/// keying one marking fails the solve with a typed error naming the build
+/// site.
+fn membership_isolated(
+    index: &mut MembershipIndex,
+    k: usize,
+    stats: &mut MrgpStats,
+) -> Result<Membership> {
+    // One span per start, so a trace still shows every deterministic
+    // marking even though its solve is a column of a shared block.
+    let mut span = nvp_obs::span("mrgp.row");
+    span.record("marking", k);
+    isolated("subordinated chain build", k, stats, |_| {
+        index.membership(k)
     })
 }
 
-/// Solves one class representative's chain: transient distribution and
-/// accumulated sojourn at `tau` in a single fused uniformization pass,
-/// recording the truncation depth the series *actually* used (not a
-/// recomputed estimate) and whether steady-state detection fired.
-fn class_solution(chain: &SubordinatedChain, stats: &mut MrgpStats) -> Result<ClassSolution> {
-    let mut pi0 = vec![0.0; chain.sub.n_states()];
-    pi0[0] = 1.0; // every member starts in its own marking = local state 0
-    let (at_tau, sojourn, tstats) =
-        chain
-            .sub
-            .transient_and_sojourn(&pi0, chain.tau, UNIFORMIZATION_EPS)?;
-    stats.max_truncation_steps = stats.max_truncation_steps.max(tstats.truncation_steps());
-    if tstats.stationary_at.is_some() {
-        stats.steady_state_detections += 1;
+impl SubordinatedClass {
+    /// Builds the class's CTMC in canonical local order and uniformizes it
+    /// for the delay — once for all its starts.
+    fn build(
+        graph: &TangibleReachGraph,
+        draft: ClassDraft,
+        stats: &mut MrgpStats,
+    ) -> Result<SubordinatedClass> {
+        let representative = draft.starts[0].1;
+        isolated("subordinated chain build", representative, stats, |_| {
+            let states = graph.states();
+            let ClassDraft {
+                key,
+                absorbing,
+                starts,
+            } = draft;
+            let members = key.members;
+            let n_trans = members.len();
+            let local_of = |g: usize| match members.binary_search(&g) {
+                Ok(s) => s,
+                Err(_) => {
+                    n_trans
+                        + absorbing
+                            .binary_search(&g)
+                            .expect("every positive-flux target was visited")
+                }
+            };
+            let mut sub = Ctmc::new(n_trans + absorbing.len());
+            for (s_local, &s_global) in members.iter().enumerate() {
+                for arc in &states[s_global].exponential {
+                    for &(to, p) in arc.targets.entries() {
+                        let rate = arc.value * p;
+                        if rate <= 0.0 {
+                            continue;
+                        }
+                        let target_local = local_of(to);
+                        if target_local != s_local {
+                            sub.add_rate(s_local, target_local, rate)?;
+                        }
+                    }
+                }
+            }
+            let block =
+                sub.block_uniformization(f64::from_bits(key.tau_bits), UNIFORMIZATION_EPS)?;
+            Ok(SubordinatedClass {
+                transition: key.transition,
+                members,
+                absorbing,
+                starts,
+                block,
+            })
+        })
     }
-    Ok(ClassSolution { at_tau, sojourn })
+
+    /// Solves the tile of starts `first..first + TILE_WIDTH` under
+    /// [`isolated`] and maps each column to its marking's row.
+    fn solve_tile_isolated(
+        &self,
+        graph: &TangibleReachGraph,
+        first: usize,
+        stats: &mut MrgpStats,
+    ) -> Result<Vec<RowAndConversion>> {
+        let starts = &self.starts[first..(first + TILE_WIDTH).min(self.starts.len())];
+        // One span per tile, opened on the thread that runs it, so a trace
+        // shows which worker handled which part of which class.
+        let mut span = nvp_obs::span("mrgp.class");
+        span.record("representative", self.starts[0].1);
+        span.record("first", starts[0].1);
+        span.record("columns", starts.len());
+        span.record("states", self.block.n_states());
+        isolated("subordinated class solve", starts[0].1, stats, |stats| {
+            let locals: Vec<usize> = starts
+                .iter()
+                .map(|&(_, k)| {
+                    self.members
+                        .binary_search(&k)
+                        .expect("a start is a member of its own chain")
+                })
+                .collect();
+            let tile = self.block.solve_tile(&locals)?;
+            Ok((0..tile.width())
+                .map(|c| {
+                    let tstats = tile.stats(c);
+                    stats.max_truncation_steps =
+                        stats.max_truncation_steps.max(tstats.truncation_steps());
+                    if tstats.stationary_at.is_some() {
+                        stats.steady_state_detections += 1;
+                    }
+                    assemble_row(
+                        graph,
+                        self.transition,
+                        &self.members,
+                        &self.absorbing,
+                        |s| tile.transient(s, c),
+                        |s| tile.sojourn(s, c),
+                    )
+                })
+                .collect())
+        })
+    }
 }
 
-/// Maps a class solution back to one member's embedded-chain row and
-/// conversion factors. Pure per-member arithmetic — identical to what the
-/// historical per-row solve computed from its own (bit-identical) transient
-/// and sojourn vectors.
-fn assemble_row(
+/// One start's embedded-chain row and conversion factors from its
+/// transient distribution `at_tau` and accumulated sojourn `sojourn` at
+/// the delay, both over the chain's local states (`members`, then
+/// `absorbing`).
+pub(crate) fn assemble_row(
     graph: &TangibleReachGraph,
-    chain: &SubordinatedChain,
-    sol: &ClassSolution,
+    transition: TransitionId,
+    members: &[usize],
+    absorbing: &[usize],
+    at_tau: impl Fn(usize) -> f64,
+    sojourn: impl Fn(usize) -> f64,
 ) -> RowAndConversion {
     let states = graph.states();
-    let n_trans = chain.members.len();
+    let n_trans = members.len();
     // Embedded-chain row: absorbed mass regenerates in the absorbing
     // marking; surviving mass fires the deterministic transition from
-    // whatever transient marking it reached.
-    let mut row: Vec<(usize, f64)> = Vec::new();
-    for (a_local, &a_global) in chain.absorbing_members.iter().enumerate() {
-        let p = sol.at_tau[n_trans + a_local];
+    // whatever transient marking it reached. Many members fire into the
+    // same markings, so the row is summed densely — absorbing markings,
+    // then members, each in local order — and handed on sorted and
+    // duplicate-free.
+    let mut dense = vec![0.0; graph.tangible_count()];
+    let mut touched = Vec::new();
+    let mut add = |to: usize, p: f64| {
+        if dense[to] == 0.0 {
+            touched.push(to);
+        }
+        dense[to] += p;
+    };
+    for (a_local, &a_global) in absorbing.iter().enumerate() {
+        let p = at_tau(n_trans + a_local);
         if p > 0.0 {
-            row.push((a_global, p));
+            add(a_global, p);
         }
     }
-    for (s_local, &s_global) in chain.members.iter().enumerate() {
-        let p_here = sol.at_tau[s_local];
+    for (s_local, &s_global) in members.iter().enumerate() {
+        let p_here = at_tau(s_local);
         if p_here <= 0.0 {
             continue;
         }
         let firing = states[s_global]
             .deterministic
             .iter()
-            .find(|d| d.transition == chain.det_transition)
+            .find(|d| d.transition == transition)
             .expect("membership implies the deterministic transition is enabled");
         for &(to, p) in firing.targets.entries() {
-            row.push((to, p_here * p));
+            add(to, p_here * p);
         }
     }
+    touched.sort_unstable();
+    let row: Vec<(usize, f64)> = touched.into_iter().map(|to| (to, dense[to])).collect();
     // Conversion factors: expected time in each *transient* marking before
     // regeneration (absorbing states belong to the next period).
-    let conv: Vec<(usize, f64)> = chain
-        .members
+    let conv: Vec<(usize, f64)> = members
         .iter()
         .enumerate()
         .filter_map(|(s_local, &s_global)| {
-            let t = sol.sojourn[s_local];
+            let t = sojourn(s_local);
             (t > 0.0).then_some((s_global, t))
         })
         .collect();
@@ -1193,50 +1311,87 @@ mod tests {
         b.build().unwrap()
     }
 
+    /// Asserts `a` and `b` agree entrywise within `tol`.
+    fn assert_close(a: &SteadyState, b: &SteadyState, tol: f64) {
+        assert_eq!(a.probabilities().len(), b.probabilities().len());
+        for (i, (x, y)) in a.probabilities().iter().zip(b.probabilities()).enumerate() {
+            assert!((x - y).abs() <= tol, "marking {i}: {x} vs {y}");
+        }
+    }
+
     #[test]
-    fn structural_dedup_collapses_identical_chains() {
+    fn ring_chains_share_one_block_class() {
         let net = ring_net(5, 0.9, 2.0);
         let graph = explore(&net, 100).unwrap();
-        let on = SolveOptions {
+        let serial = SolveOptions {
             jobs: Jobs::Fixed(1),
             ..SolveOptions::default()
         };
-        let (pooled, pooled_stats) = steady_state_with_options(&graph, &on).unwrap();
-        assert_eq!(pooled_stats.subordinated_chains, 5);
+        let (block, block_stats) = steady_state_with_options(&graph, &serial).unwrap();
+        assert_eq!(block_stats.subordinated_chains, 5);
         assert_eq!(
-            pooled_stats.dedup_classes, 1,
-            "all five chains share one structure: {pooled_stats:?}"
+            block_stats.dedup_classes, 1,
+            "all five starts reach the same member set: {block_stats:?}"
         );
-        assert_eq!(pooled_stats.dedup_hits, 4);
-        let off = SolveOptions {
-            jobs: Jobs::Fixed(1),
-            dedup: false,
-            ..SolveOptions::default()
-        };
-        let (per_row, per_row_stats) = steady_state_with_options(&graph, &off).unwrap();
-        assert_eq!(per_row_stats.dedup_classes, 5, "dedup off: class per chain");
-        assert_eq!(per_row_stats.dedup_hits, 0);
-        let identical = pooled
-            .probabilities()
-            .iter()
-            .zip(per_row.probabilities())
-            .all(|(a, b)| a.to_bits() == b.to_bits());
-        assert!(
-            identical,
-            "shared class solutions must be bit-identical to per-row solves: {:?} vs {:?}",
-            pooled.probabilities(),
-            per_row.probabilities()
-        );
+        assert_eq!(block_stats.dedup_hits, 4);
+        assert_eq!(block_stats.total_subordinated_states, 25);
+        let (reference, reference_stats) =
+            crate::reference::steady_state_per_start(&graph, &serial).unwrap();
+        assert_eq!(reference_stats.dedup_classes, 5, "one class per start");
+        assert_close(&block, &reference, 1e-12);
         // Symmetry: the token is uniform over the ring.
-        for p in pooled.probabilities() {
-            assert!((p - 0.2).abs() < 1e-9, "{:?}", pooled.probabilities());
+        for p in block.probabilities() {
+            assert!((p - 0.2).abs() < 1e-9, "{:?}", block.probabilities());
         }
-        // The counters the truncation depth comes from are the ones the
-        // solve actually used, so they agree across the two paths.
+        // Both paths run the same Poisson series for every start.
         assert_eq!(
-            pooled_stats.max_truncation_steps,
-            per_row_stats.max_truncation_steps
+            block_stats.max_truncation_steps,
+            reference_stats.max_truncation_steps
         );
+        assert_eq!(
+            block_stats.total_subordinated_states,
+            reference_stats.total_subordinated_states
+        );
+    }
+
+    #[test]
+    fn starts_with_different_member_sets_get_different_classes() {
+        // Whatever the class structure, classes + hits = chains and the
+        // block path matches the per-start reference.
+        for net in [drift_reset_net(4), ring_net(3, 1.3, 0.7)] {
+            let graph = explore(&net, 1000).unwrap();
+            let (block, stats) = steady_state_with_stats(&graph).unwrap();
+            let (reference, _) =
+                crate::reference::steady_state_per_start(&graph, &SolveOptions::default()).unwrap();
+            assert_close(&block, &reference, 1e-12);
+            assert_eq!(
+                stats.dedup_classes + stats.dedup_hits,
+                stats.subordinated_chains
+            );
+        }
+        // Drift-reset: from k tokens in B the chain reaches only markings
+        // with at least k tokens in B, so every start is its own class.
+        let graph = explore(&drift_reset_net(4), 1000).unwrap();
+        let (_, stats) = steady_state_with_stats(&graph).unwrap();
+        assert_eq!((stats.subordinated_chains, stats.dedup_classes), (5, 5));
+    }
+
+    #[test]
+    fn stats_report_the_emc_backend_actually_used() {
+        // Every marking of the ring reaches every other one within a
+        // period, so the EMC is completely full: the fill rule sends it to
+        // the dense LU solve, and the stats say so.
+        let graph = explore(&ring_net(4, 0.9, 2.0), 100).unwrap();
+        let (dense, stats) = steady_state_with_stats(&graph).unwrap();
+        assert_eq!(stats.backend, StationaryBackend::Dense);
+        // A forced backend is reported as forced, and agrees.
+        let forced = SolveOptions {
+            backend: Some(StationaryBackend::IterativePower),
+            ..SolveOptions::default()
+        };
+        let (power, stats) = steady_state_with_options(&graph, &forced).unwrap();
+        assert_eq!(stats.backend, StationaryBackend::IterativePower);
+        assert_close(&dense, &power, 1e-9);
     }
 
     #[test]

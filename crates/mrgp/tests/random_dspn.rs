@@ -1,7 +1,8 @@
 //! Property-based validation of the MRGP solver against closed forms on
 //! randomly parameterized nets.
 
-use nvp_mrgp::{steady_state, steady_state_with_options, SolveOptions};
+use nvp_mrgp::reference::steady_state_per_start;
+use nvp_mrgp::{steady_state, steady_state_with_options, SolveOptions, SteadyState};
 use nvp_numerics::pool::{Jobs, WorkerPool};
 use nvp_petri::net::{NetBuilder, PetriNet, TransitionKind};
 use nvp_petri::reach::explore;
@@ -56,9 +57,8 @@ fn maintenance_net(lambda: f64, mu: f64, delta: f64, tau: f64) -> PetriNet {
 
 /// A ring of `positions` places with one circulating token (hop `i` fires at
 /// `rates[i]`) and a no-op deterministic clock enabled in every marking.
-/// With equal hop rates every marking's subordinated chain is structurally
-/// identical; with distinct rates the chains differ and dedup must not
-/// conflate them.
+/// Every marking's subordinated chain reaches the whole ring, so all starts
+/// are columns of one block class whatever the rates.
 fn ring_net(rates: &[f64], tau: f64) -> PetriNet {
     let positions = rates.len();
     let mut b = NetBuilder::new("ring");
@@ -76,6 +76,37 @@ fn ring_net(rates: &[f64], tau: f64) -> PetriNet {
         .unwrap()
         .input(clk, 1)
         .output(clk, 1);
+    b.build().unwrap()
+}
+
+/// The block path agrees with the per-start reference within 1e-12.
+fn assert_matches_reference(graph: &nvp_petri::reach::TangibleReachGraph, block: &SteadyState) {
+    let (reference, _) = steady_state_per_start(graph, &SolveOptions::default()).unwrap();
+    for (i, (a, b)) in block
+        .probabilities()
+        .iter()
+        .zip(reference.probabilities())
+        .enumerate()
+    {
+        assert!((a - b).abs() <= 1e-12, "marking {i}: {a} vs reference {b}");
+    }
+}
+
+/// An M/D/1/K queue: every non-empty queue runs the service clock, and
+/// arrivals move the chain towards the full queue only — so each start
+/// reaches a different member set and keys its own class.
+fn md1k_net(lambda: f64, delay: f64, capacity: u32) -> PetriNet {
+    let mut b = NetBuilder::new("md1k");
+    let queue = b.place("Q", 0);
+    let free = b.place("Free", capacity);
+    b.transition("arrive", TransitionKind::exponential_rate(lambda))
+        .unwrap()
+        .input(free, 1)
+        .output(queue, 1);
+    b.transition("serve", TransitionKind::deterministic_delay(delay))
+        .unwrap()
+        .input(queue, 1)
+        .output(free, 1);
     b.build().unwrap()
 }
 
@@ -146,12 +177,11 @@ proptest! {
         prop_assert!(sol.probabilities().iter().all(|&p| p >= 0.0));
     }
 
-    /// On random ring DSPNs the dedup path must be bit-identical to the
-    /// per-row path, serial and parallel alike, and the class accounting
-    /// must add up: classes + hits = chains, with equal hop rates collapsing
-    /// everything into one class.
+    /// On random ring DSPNs the block path is bit-identical across worker
+    /// counts, matches the per-start reference within 1e-12, and keys
+    /// every start into one class: classes + hits = chains.
     #[test]
-    fn ring_dedup_is_bit_identical_to_per_row(
+    fn ring_block_solve_matches_the_per_start_reference(
         positions in 2usize..6,
         base_rate in 0.05..4.0f64,
         jitter in proptest::collection::vec(0.1..2.0f64, 5),
@@ -163,25 +193,23 @@ proptest! {
             .collect();
         let net = ring_net(&rates, tau);
         let graph = explore(&net, 100).unwrap();
-        // The reference: dedup off, strictly serial — the historical
-        // chain-per-marking path.
-        let reference_opts = SolveOptions {
-            jobs: Jobs::Fixed(1),
-            dedup: false,
-            ..SolveOptions::default()
-        };
-        let (reference, reference_stats) =
-            steady_state_with_options(&graph, &reference_opts).unwrap();
-        prop_assert_eq!(reference_stats.dedup_classes, positions);
-        prop_assert_eq!(reference_stats.dedup_hits, 0);
+        let serial_opts = SolveOptions { jobs: Jobs::Fixed(1), ..SolveOptions::default() };
+        let (serial, serial_stats) = steady_state_with_options(&graph, &serial_opts).unwrap();
+        assert_matches_reference(&graph, &serial);
+        prop_assert_eq!(serial_stats.subordinated_chains, positions);
+        prop_assert_eq!(serial_stats.dedup_classes, 1);
+        prop_assert_eq!(
+            serial_stats.dedup_classes + serial_stats.dedup_hits,
+            serial_stats.subordinated_chains
+        );
         WorkerPool::global().set_capacity(WorkerPool::global().capacity().max(4));
-        for jobs in [Jobs::Fixed(1), Jobs::Fixed(4)] {
+        for jobs in [Jobs::Fixed(2), Jobs::Fixed(4)] {
             let opts = SolveOptions { jobs, ..SolveOptions::default() };
-            let (dedup, stats) = steady_state_with_options(&graph, &opts).unwrap();
-            for (i, (a, b)) in reference
+            let (parallel, stats) = steady_state_with_options(&graph, &opts).unwrap();
+            for (i, (a, b)) in serial
                 .probabilities()
                 .iter()
-                .zip(dedup.probabilities())
+                .zip(parallel.probabilities())
                 .enumerate()
             {
                 prop_assert_eq!(
@@ -191,17 +219,34 @@ proptest! {
                     i, jobs, a, b
                 );
             }
-            prop_assert_eq!(stats.subordinated_chains, positions);
+            prop_assert_eq!(stats.dedup_classes, serial_stats.dedup_classes);
+            prop_assert_eq!(stats.max_truncation_steps, serial_stats.max_truncation_steps);
+        }
+    }
+
+    /// The race, maintenance and M/D/1/K nets — absorption, firing into
+    /// other markings, one class per start — all match the reference.
+    #[test]
+    fn random_nets_match_the_per_start_reference(
+        lambda in 0.01..5.0f64,
+        mu in 0.05..5.0f64,
+        delta in 0.05..5.0f64,
+        tau in 0.05..20.0f64,
+        capacity in 1u32..6,
+    ) {
+        for net in [
+            race_net(lambda, mu, tau),
+            maintenance_net(lambda, mu, delta, tau),
+            md1k_net(lambda, tau, capacity),
+        ] {
+            let graph = explore(&net, 100).unwrap();
+            let (block, stats) = steady_state_with_options(&graph, &SolveOptions::default())
+                .unwrap();
+            assert_matches_reference(&graph, &block);
             prop_assert_eq!(
                 stats.dedup_classes + stats.dedup_hits,
                 stats.subordinated_chains
             );
-            if equal_rates {
-                prop_assert_eq!(
-                    stats.dedup_classes, 1,
-                    "equal hop rates make every chain structurally identical"
-                );
-            }
         }
     }
 }

@@ -110,6 +110,21 @@ pub fn stationary_backend_for(n: usize) -> StationaryBackend {
     }
 }
 
+/// Which backend to use for the stationary solve of an `n`-state chain
+/// whose transition matrix stores `nnz` entries: [`stationary_backend_for`]
+/// by size, except that a near-dense chain (`nnz ≥ n²/4`) always goes to
+/// the dense LU solve. Once a quarter of the matrix is filled, a power
+/// iteration pays about as much per step as the sparse format saves, and
+/// slowly mixing chains need hundreds of steps where one `O(n³)` LU
+/// factorization suffices.
+pub fn stationary_backend_for_fill(n: usize, nnz: usize) -> StationaryBackend {
+    if nnz.saturating_mul(4) >= n.saturating_mul(n) {
+        StationaryBackend::Dense
+    } else {
+        stationary_backend_for(n)
+    }
+}
+
 /// The backend that is *not* `backend` — the retry target for the resilience
 /// layer's "flip to the alternate linear-algebra backend" fallback.
 pub fn alternate_backend(backend: StationaryBackend) -> StationaryBackend {
@@ -146,5 +161,34 @@ impl Default for StationaryOptions {
             max_iterations: DEFAULT_MAX_ITERATIONS,
             budget: SolveBudget::unlimited(),
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn fill_rule_sends_near_dense_chains_to_lu() {
+        let big = DENSE_SOLVE_LIMIT + 25;
+        // Small chains stay dense whatever their fill.
+        assert_eq!(
+            stationary_backend_for_fill(10, 10),
+            StationaryBackend::Dense
+        );
+        // Large and sparse: power iteration, as by size alone.
+        assert_eq!(
+            stationary_backend_for_fill(big, 5 * big),
+            StationaryBackend::IterativePower
+        );
+        // Large but a quarter full (or more): dense LU.
+        assert_eq!(
+            stationary_backend_for_fill(big, big * big / 4 + 1),
+            StationaryBackend::Dense
+        );
+        assert_eq!(
+            stationary_backend_for_fill(big, big * big / 4 - 1),
+            StationaryBackend::IterativePower
+        );
     }
 }

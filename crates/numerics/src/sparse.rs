@@ -214,6 +214,36 @@ impl CsrMatrix {
         }
     }
 
+    /// The transpose `Aᵀ`. Entries are copied, never summed, so every value
+    /// keeps its bits; each row of the result lists its columns in
+    /// increasing order.
+    pub(crate) fn transpose(&self) -> CsrMatrix {
+        let mut row_ptr = vec![0usize; self.cols + 1];
+        for &c in &self.col_idx {
+            row_ptr[c + 1] += 1;
+        }
+        for c in 0..self.cols {
+            row_ptr[c + 1] += row_ptr[c];
+        }
+        let mut next = row_ptr.clone();
+        let mut col_idx = vec![0usize; self.col_idx.len()];
+        let mut values = vec![0.0; self.values.len()];
+        for r in 0..self.rows {
+            for (c, v) in self.row_entries(r) {
+                col_idx[next[c]] = r;
+                values[next[c]] = v;
+                next[c] += 1;
+            }
+        }
+        CsrMatrix {
+            rows: self.cols,
+            cols: self.rows,
+            row_ptr,
+            col_idx,
+            values,
+        }
+    }
+
     /// Converts to a dense matrix (for small systems or debugging).
     pub fn to_dense(&self) -> crate::dense::DenseMatrix {
         let mut d = crate::dense::DenseMatrix::zeros(self.rows, self.cols);
@@ -393,6 +423,24 @@ mod tests {
         let m = b.build();
         assert_eq!(m.nnz(), 1);
         assert_eq!(m.matvec(&[0.0, 1.0]), vec![3.5]);
+    }
+
+    #[test]
+    fn transpose_swaps_orientation_bit_for_bit() {
+        let mut b = CsrBuilder::new(2, 3);
+        b.push(0, 2, 0.3);
+        b.push(1, 0, 1.5);
+        b.push(0, 0, 0.1);
+        let m = b.build();
+        let t = m.transpose();
+        assert_eq!((t.rows(), t.cols(), t.nnz()), (3, 2, 3));
+        assert_eq!(
+            t.row_entries(0).collect::<Vec<_>>(),
+            vec![(0, 0.1), (1, 1.5)]
+        );
+        assert_eq!(t.row_entries(1).count(), 0);
+        assert_eq!(t.row_entries(2).collect::<Vec<_>>(), vec![(0, 0.3)]);
+        assert_eq!(t.transpose(), m);
     }
 
     #[test]

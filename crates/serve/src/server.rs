@@ -10,7 +10,7 @@
 //! permit is refused up front with `429` + `Retry-After` instead of piling
 //! unbounded work onto a starved pool.
 
-use std::io::{self, BufRead, BufReader, Read, Write as _};
+use std::io::{self, BufRead, BufReader, Read};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
@@ -601,10 +601,12 @@ fn flight_dump(inner: &Arc<ServerInner>, trigger: &str, detail: &str) {
     let context = dump_context(inner, trigger, detail);
     let seq = inner.flight_seq.fetch_add(1, Ordering::SeqCst) + 1;
     let path = dir.join(format!("flight-{seq:04}-{trigger}.jsonl"));
+    // Published atomically, so a log shipper (or a test) polling the
+    // directory never reads a half-written dump.
     let result = std::fs::create_dir_all(dir).and_then(|()| {
-        let mut file = io::BufWriter::new(std::fs::File::create(&path)?);
-        recorder::write_dump(&inner.flight, &context, &mut file)?;
-        file.flush()
+        let mut buf = Vec::new();
+        recorder::write_dump(&inner.flight, &context, &mut buf)?;
+        nvp_store::atomic::write_atomic(&path, &buf)
     });
     match result {
         Ok(()) => sink::server(

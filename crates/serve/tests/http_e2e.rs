@@ -632,12 +632,16 @@ fn rejuvenation_swaps_a_fresh_engine_with_byte_identical_answers() {
 }
 
 /// Wait for a flight dump whose filename names `trigger` to appear in
-/// `dir`, and return its contents.
+/// `dir`, and return its contents. Dumps are published atomically, so the
+/// in-flight temp sibling is skipped: only a finished dump is read.
 fn await_dump(dir: &std::path::Path, trigger: &str) -> String {
     let deadline = Instant::now() + Duration::from_secs(60);
     loop {
         if let Ok(entries) = std::fs::read_dir(dir) {
             for entry in entries.flatten() {
+                if nvp_store::atomic::is_temp_name(&entry.file_name()) {
+                    continue;
+                }
                 let name = entry.file_name().to_string_lossy().into_owned();
                 if name.contains(&format!("-{trigger}.jsonl")) {
                     return std::fs::read_to_string(entry.path()).unwrap();

@@ -103,9 +103,9 @@ pub struct SolveRecord {
     pub max_truncation_steps: u64,
     /// Probability-guard interventions.
     pub guard_trips: u64,
-    /// Distinct subordinated-chain equivalence classes.
+    /// Block classes: distinct subordinated CTMCs, each solved once.
     pub dedup_classes: u64,
-    /// Solves answered from the dedup classes.
+    /// Subordinated chains that shared another start's class.
     pub dedup_hits: u64,
     /// Early steady-state detections during uniformization.
     pub steady_state_detections: u64,
