@@ -28,9 +28,10 @@ fn bench_engine(c: &mut Criterion) {
     let model6 = ReliabilityModel::for_params(&six, ReliabilitySource::Auto).unwrap();
     group.bench_function("reliability_paper_six_all_states", |b| {
         b.iter(|| {
+            let point = model6.at(0.08, 0.5, 0.5).unwrap();
             let mut acc = 0.0;
             for s in enumerate_states(6) {
-                acc += model6.reliability(black_box(s), 0.08, 0.5, 0.5).unwrap();
+                acc += point.reliability(black_box(s)).unwrap();
             }
             black_box(acc)
         })
@@ -38,9 +39,10 @@ fn bench_engine(c: &mut Criterion) {
     let generic9 = ReliabilityModel::Generic { n: 9, threshold: 6 };
     group.bench_function("reliability_generic_nine_all_states", |b| {
         b.iter(|| {
+            let point = generic9.at(0.08, 0.5, 0.5).unwrap();
             let mut acc = 0.0;
             for s in enumerate_states(9) {
-                acc += generic9.reliability(black_box(s), 0.08, 0.5, 0.5).unwrap();
+                acc += point.reliability(black_box(s)).unwrap();
             }
             black_box(acc)
         })

@@ -64,8 +64,9 @@ fn main() -> ExitCode {
         }
     }
 
-    // The daemon is always quiet; route its per-request lines away from
-    // the bench output.
+    // Run quiet, like the daemon, so solver warnings and progress lines stay
+    // off stderr. The daemon's per-request lines still go there:
+    // `nvp_obs::sink::server` is never suppressed.
     nvp_obs::sink::set_quiet(true);
     let server = match Server::bind(
         Arc::new(AnalysisEngine::new()),

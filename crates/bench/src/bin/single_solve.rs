@@ -22,9 +22,20 @@
 //! * a fig. 3 speedup of at least 1.5x over the reference (both serial);
 //! * the class accounting (classes + hits = chains) and, at N = 24, the
 //!   dense EMC backend.
+//!
+//! A `reward` section times the reward stage on its own: one
+//! `reward_vector` over the tangible markings of the N-version system for
+//! N ∈ {6, 12, 24, 48}, through the tabled generic model
+//! ([`nvp_core::reliability::generic::Table`]) and through the scalar
+//! per-state formulas ([`nvp_core::reliability::generic::reference`]).
+//! `--check` gates that the two vectors are bit-identical at every N and
+//! that the table is at least 3x faster at N = 24.
 
 use nvp_core::model::build_model;
 use nvp_core::params::SystemParams;
+use nvp_core::reliability::generic::reference;
+use nvp_core::reliability::{ReliabilityModel, ReliabilitySource};
+use nvp_core::reward::{reward_vector, ModulePlaces, RewardPolicy};
 use nvp_mrgp::reference::steady_state_per_start;
 use nvp_mrgp::{steady_state_with_options, MrgpStats, SolveOptions, SteadyState};
 use nvp_numerics::pool::{Jobs, WorkerPool};
@@ -46,6 +57,17 @@ const REFERENCE_TOLERANCE: f64 = 1e-12;
 
 /// Floor on the fig. 3 speedup of the block row stage over the reference.
 const SPEEDUP_FLOOR: f64 = 1.5;
+
+/// Module counts of the reward-stage curve.
+const REWARD_NS: [u32; 4] = [6, 12, 24, 48];
+
+/// Timed `reward_vector` calls per N and implementation; the minimum is
+/// reported.
+const REWARD_REPS: usize = 101;
+
+/// Floor on the N = 24 speedup of the tabled reward stage over the
+/// per-state reference.
+const REWARD_SPEEDUP_FLOOR: f64 = 3.0;
 
 fn main() -> ExitCode {
     let mut out = String::from("BENCH_single_solve.json");
@@ -91,7 +113,18 @@ fn main() -> ExitCode {
         }
     }
 
-    let report = render_report(&benches);
+    let mut rewards = Vec::new();
+    for n in REWARD_NS {
+        match bench_reward(n) {
+            Ok(bench) => rewards.push(bench),
+            Err(e) => {
+                eprintln!("reward benchmark at N = {n} failed: {e}");
+                return ExitCode::FAILURE;
+            }
+        }
+    }
+
+    let report = render_report(&benches, &rewards);
     // Self-validate: the report must round-trip through the same parser
     // the trace-schema checks use.
     let parsed = match Json::parse(&report) {
@@ -120,9 +153,21 @@ fn main() -> ExitCode {
             bench.max_abs_diff,
         );
     }
+    for bench in &rewards {
+        println!(
+            "reward N = {}: {} markings, {:.2} us tabled vs {:.2} us reference, speedup {:.2}x, \
+             bit-identical {}",
+            bench.n,
+            bench.markings,
+            bench.table_us,
+            bench.reference_us,
+            bench.speedup(),
+            bench.bit_identical,
+        );
+    }
     println!("wrote {out}");
 
-    if check && !run_checks(&benches, &parsed) {
+    if check && !run_checks(&benches, &rewards, &parsed) {
         return ExitCode::FAILURE;
     }
     ExitCode::SUCCESS
@@ -215,6 +260,75 @@ fn max_abs_diff(a: &SteadyState, b: &SteadyState) -> f64 {
         .fold(0.0, f64::max)
 }
 
+/// One N's reward-stage measurements: a tabled `reward_vector` against the
+/// same vector from the per-state reference formulas.
+struct RewardBench {
+    n: u32,
+    markings: usize,
+    table_us: f64,
+    reference_us: f64,
+    bit_identical: bool,
+}
+
+impl RewardBench {
+    fn speedup(&self) -> f64 {
+        self.reference_us / self.table_us
+    }
+}
+
+fn bench_reward(n: u32) -> Result<RewardBench, String> {
+    let mut params = SystemParams::paper_six_version();
+    params.n = n;
+    let net = build_model(&params).map_err(|e| format!("build: {e}"))?;
+    let graph = explore(&net, 100_000).map_err(|e| format!("explore: {e}"))?;
+    // Generic at every N, the paper's N = 6 included, so the curve times
+    // one model.
+    let model = ReliabilityModel::for_params(&params, ReliabilitySource::Generic)
+        .map_err(|e| format!("reliability model: {e}"))?;
+    let policy = RewardPolicy::FailedOnly;
+    let tabled =
+        || reward_vector(&graph, &net, &params, &model, policy).map_err(|e| format!("reward: {e}"));
+    let threshold = params.voting_threshold();
+    let per_state = || {
+        let places = ModulePlaces::locate(&net).map_err(|e| format!("places: {e}"))?;
+        Ok(graph
+            .markings()
+            .iter()
+            .map(|m| {
+                places.system_state(m, policy).map_or(0.0, |s| {
+                    reference::reliability(s, threshold, params.p, params.p_prime, params.alpha)
+                })
+            })
+            .collect::<Vec<f64>>())
+    };
+    let (table, table_us) = timed_us(tabled)?;
+    let (reference, reference_us) = timed_us(per_state)?;
+    Ok(RewardBench {
+        n,
+        markings: graph.tangible_count(),
+        table_us,
+        reference_us,
+        bit_identical: table.len() == reference.len()
+            && table
+                .iter()
+                .zip(&reference)
+                .all(|(a, b)| a.to_bits() == b.to_bits()),
+    })
+}
+
+/// Runs `f` [`REWARD_REPS`] times and keeps the fastest wall time in µs;
+/// returns the last result (identical across repetitions).
+fn timed_us(f: impl Fn() -> Result<Vec<f64>, String>) -> Result<(Vec<f64>, f64), String> {
+    let mut best = f64::INFINITY;
+    let mut result = Vec::new();
+    for _ in 0..REWARD_REPS {
+        let start = Instant::now();
+        result = std::hint::black_box(f()?);
+        best = best.min(start.elapsed().as_secs_f64() * 1e6);
+    }
+    Ok((result, best))
+}
+
 fn render_model(out: &mut String, bench: &ModelBench) {
     let _ = write!(
         out,
@@ -256,21 +370,50 @@ fn render_model(out: &mut String, bench: &ModelBench) {
     );
 }
 
-fn render_report(benches: &[ModelBench]) -> String {
+fn render_rewards(out: &mut String, rewards: &[RewardBench]) {
+    let _ = write!(
+        out,
+        "  \"reward\": {{\n    \"policy\": \"failed_only\",\n    \"reps\": {REWARD_REPS},\n"
+    );
+    for bench in rewards {
+        let _ = write!(
+            out,
+            concat!(
+                "    \"n{}\": {{\n",
+                "      \"markings\": {},\n",
+                "      \"reward_us_table\": {:.4},\n",
+                "      \"reward_us_reference\": {:.4},\n",
+                "      \"speedup_vs_reference\": {:.4}\n",
+                "    }},\n"
+            ),
+            bench.n,
+            bench.markings,
+            bench.table_us,
+            bench.reference_us,
+            bench.speedup(),
+        );
+    }
+    let _ = write!(
+        out,
+        "    \"reward_bit_identical\": {}\n  }}",
+        rewards.iter().all(|b| b.bit_identical)
+    );
+}
+
+fn render_report(benches: &[ModelBench], rewards: &[RewardBench]) -> String {
     let mut out = String::new();
     out.push_str("{\n  \"schema\": \"nvp-bench/single-solve/v2\",\n");
-    for (i, bench) in benches.iter().enumerate() {
-        if i > 0 {
-            out.push_str(",\n");
-        }
+    for bench in benches {
         render_model(&mut out, bench);
+        out.push_str(",\n");
     }
+    render_rewards(&mut out, rewards);
     out.push_str("\n}\n");
     out
 }
 
 /// `--check` assertions; each failure prints its own diagnostic.
-fn run_checks(benches: &[ModelBench], parsed: &Json) -> bool {
+fn run_checks(benches: &[ModelBench], rewards: &[RewardBench], parsed: &Json) -> bool {
     let mut ok = true;
     let mut fail = |message: String| {
         eprintln!("check failed: {message}");
@@ -321,6 +464,26 @@ fn run_checks(benches: &[ModelBench], parsed: &Json) -> bool {
                 n24.stats.backend
             ));
         }
+    }
+    for bench in rewards {
+        if !bench.bit_identical {
+            fail(format!(
+                "reward N = {}: the tabled reward vector differs from the per-state reference",
+                bench.n
+            ));
+        }
+    }
+    match rewards.iter().find(|b| b.n == 24) {
+        Some(n24) if n24.speedup() < REWARD_SPEEDUP_FLOOR => fail(format!(
+            "reward N = 24: speedup {:.2}x over the per-state reference below the \
+             {REWARD_SPEEDUP_FLOOR}x floor",
+            n24.speedup()
+        )),
+        Some(_) => {}
+        None => fail("reward curve is missing N = 24".into()),
+    }
+    if parsed.get("reward").is_none() {
+        fail("report is missing the `reward` object".into());
     }
     if ok {
         println!("all checks passed");

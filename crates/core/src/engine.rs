@@ -1055,11 +1055,9 @@ impl AnalysisEngine {
     ) -> Result<Arc<ChainSolution>> {
         params.validate()?;
         let key = ChainKey::of(params, backend.max_markings());
-        // The on-disk identity of the solve.
-        let key_bytes = self.store.as_ref().map(|_| key.store_bytes(true));
         let slot = {
             let mut map = self.lock_cache();
-            Arc::clone(map.entry(key).or_default())
+            Arc::clone(map.entry(key.clone()).or_default())
         };
         let mut guard = self.lock_slot(&slot);
         slot.touch(&self.cache_clock);
@@ -1068,6 +1066,8 @@ impl AnalysisEngine {
             return Ok(Arc::clone(solution));
         }
         self.misses.inc();
+        // The on-disk identity of the solve.
+        let key_bytes = self.store.as_ref().map(|_| key.store_bytes(true));
         let solution = match self.store_load(params, backend, budget, key_bytes.as_deref()) {
             Some(warm) => Arc::new(warm),
             None => {

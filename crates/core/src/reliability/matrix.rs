@@ -35,12 +35,13 @@ impl ReliabilityMatrix {
         p_prime: f64,
         alpha: f64,
     ) -> Result<Self> {
+        let point = model.at(p, p_prime, alpha)?;
         let dim = (n + 1) as usize;
         let mut entries = vec![None; dim * dim];
         for i in 0..=n {
             for j in 0..=(n - i) {
                 let state = SystemState::new(i, j, n - i - j);
-                let value = model.reliability(state, p, p_prime, alpha)?;
+                let value = point.reliability(state)?;
                 entries[i as usize * dim + j as usize] = Some(value);
             }
         }

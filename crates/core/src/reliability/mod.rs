@@ -107,30 +107,95 @@ impl ReliabilityModel {
         }
     }
 
-    /// Evaluates `R_{i,j,k}` for a state.
+    /// Binds the model to one point's probabilities, validated once, for
+    /// evaluating many states. The generic model tabulates its binomial
+    /// terms here (see [`generic::Table`]).
+    ///
+    /// # Errors
+    ///
+    /// [`CoreError::InvalidParameter`] if a probability is out of `[0, 1]`.
+    pub fn at(&self, p: f64, p_prime: f64, alpha: f64) -> Result<PointReliability> {
+        check_probability("p", p)?;
+        check_probability("p_prime", p_prime)?;
+        check_probability("alpha", alpha)?;
+        Ok(match *self {
+            ReliabilityModel::PaperFourVersion => {
+                PointReliability::PaperFourVersion { p, p_prime, alpha }
+            }
+            ReliabilityModel::PaperSixVersion => {
+                PointReliability::PaperSixVersion { p, p_prime, alpha }
+            }
+            ReliabilityModel::Generic { n, threshold } => {
+                PointReliability::Generic(generic::Table::new(n, threshold, p, p_prime, alpha))
+            }
+        })
+    }
+
+    /// Evaluates `R_{i,j,k}` for a single state; see [`ReliabilityModel::at`]
+    /// for many states at one point.
     ///
     /// # Errors
     ///
     /// [`CoreError::InvalidParameter`] if the state's module total does not
     /// match the model's `N`, or probabilities are out of `[0, 1]`.
     pub fn reliability(&self, state: SystemState, p: f64, p_prime: f64, alpha: f64) -> Result<f64> {
-        check_probability("p", p)?;
-        check_probability("p_prime", p_prime)?;
-        check_probability("alpha", alpha)?;
+        self.at(p, p_prime, alpha)?.reliability(state)
+    }
+}
+
+/// A [`ReliabilityModel`] bound to validated `(p, p′, α)` by
+/// [`ReliabilityModel::at`].
+#[derive(Debug, Clone, PartialEq)]
+pub enum PointReliability {
+    /// The paper's `R_f4` formulas at one point.
+    PaperFourVersion {
+        /// Healthy-module inaccuracy `p`.
+        p: f64,
+        /// Compromised-module inaccuracy `p′`.
+        p_prime: f64,
+        /// Dependent-failure probability `α`.
+        alpha: f64,
+    },
+    /// The paper's `R_f6` formulas at one point.
+    PaperSixVersion {
+        /// Healthy-module inaccuracy `p`.
+        p: f64,
+        /// Compromised-module inaccuracy `p′`.
+        p_prime: f64,
+        /// Dependent-failure probability `α`.
+        alpha: f64,
+    },
+    /// The generic model, tabulated at one point.
+    Generic(generic::Table),
+}
+
+impl PointReliability {
+    /// Evaluates `R_{i,j,k}` for a state.
+    ///
+    /// # Errors
+    ///
+    /// [`CoreError::InvalidParameter`] if the state's module total does not
+    /// match the model's `N`.
+    pub fn reliability(&self, state: SystemState) -> Result<f64> {
         match self {
-            ReliabilityModel::PaperFourVersion => paper::four_version(state, p, p_prime, alpha),
-            ReliabilityModel::PaperSixVersion => paper::six_version(state, p, p_prime, alpha),
-            ReliabilityModel::Generic { n, threshold } => {
-                if state.total() != *n {
+            PointReliability::PaperFourVersion { p, p_prime, alpha } => {
+                paper::four_version(state, *p, *p_prime, *alpha)
+            }
+            PointReliability::PaperSixVersion { p, p_prime, alpha } => {
+                paper::six_version(state, *p, *p_prime, *alpha)
+            }
+            PointReliability::Generic(table) => {
+                if state.total() != table.n() {
                     return Err(CoreError::InvalidParameter {
                         what: "state",
                         constraint: format!(
-                            "module total {} does not match N = {n}",
-                            state.total()
+                            "module total {} does not match N = {}",
+                            state.total(),
+                            table.n()
                         ),
                     });
                 }
-                Ok(generic::reliability(state, *threshold, p, p_prime, alpha))
+                Ok(table.reliability(state))
             }
         }
     }

@@ -96,7 +96,8 @@ impl ModulePlaces {
 }
 
 /// Builds the reward vector `R_{i,j,k}` over the tangible markings of a
-/// model net.
+/// model net, binding `reliability` to the point's probabilities once
+/// ([`ReliabilityModel::at`]).
 ///
 /// # Errors
 ///
@@ -109,14 +110,15 @@ pub fn reward_vector(
     policy: RewardPolicy,
 ) -> Result<Vec<f64>> {
     let places = ModulePlaces::locate(net)?;
-    graph
-        .markings()
-        .iter()
-        .map(|m| match places.system_state(m, policy) {
-            Some(state) => reliability.reliability(state, params.p, params.p_prime, params.alpha),
-            None => Ok(0.0),
-        })
-        .collect()
+    let point = reliability.at(params.p, params.p_prime, params.alpha)?;
+    let mut rewards = Vec::with_capacity(graph.markings().len());
+    for m in graph.markings() {
+        rewards.push(match places.system_state(m, policy) {
+            Some(state) => point.reliability(state)?,
+            None => 0.0,
+        });
+    }
+    Ok(rewards)
 }
 
 #[cfg(test)]
@@ -189,6 +191,37 @@ mod tests {
             })
             .expect("marking (5,0,0,1) reachable");
         assert!((rewards[target] - 0.97).abs() < 1e-12);
+    }
+
+    #[test]
+    fn tabled_reward_vector_matches_reference_bit_for_bit() {
+        use crate::reliability::generic::reference;
+        for n in [24u32, 48] {
+            let mut params = SystemParams::paper_six_version();
+            params.n = n;
+            (params.p, params.p_prime, params.alpha) = (0.083_718_2, 0.612_345_9, 0.371_1);
+            let net = model::build_model(&params).unwrap();
+            let graph = explore(&net, 100_000).unwrap();
+            let rel = ReliabilityModel::for_params(&params, ReliabilitySource::Auto).unwrap();
+            assert!(matches!(rel, ReliabilityModel::Generic { .. }));
+            let places = ModulePlaces::locate(&net).unwrap();
+            for policy in [RewardPolicy::FailedOnly, RewardPolicy::AsWritten] {
+                let rewards = reward_vector(&graph, &net, &params, &rel, policy).unwrap();
+                assert_eq!(rewards.len(), graph.markings().len());
+                for (m, got) in graph.markings().iter().zip(&rewards) {
+                    let want = places.system_state(m, policy).map_or(0.0, |s| {
+                        reference::reliability(
+                            s,
+                            params.voting_threshold(),
+                            params.p,
+                            params.p_prime,
+                            params.alpha,
+                        )
+                    });
+                    assert_eq!(got.to_bits(), want.to_bits(), "N={n}, {policy:?}, {m}");
+                }
+            }
+        }
     }
 
     #[test]

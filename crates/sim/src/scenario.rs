@@ -26,7 +26,8 @@ use rand::{Rng, SeedableRng};
 ///
 /// # Errors
 ///
-/// Reliability-model resolution and place-lookup errors.
+/// Reliability-model resolution, probability-validation and place-lookup
+/// errors.
 pub fn model_reward_fn(
     net: &PetriNet,
     params: &SystemParams,
@@ -37,11 +38,11 @@ pub fn model_reward_fn(
         params,
         nvp_core::reliability::ReliabilitySource::Auto,
     )?;
-    let (p, pp, alpha) = (params.p, params.p_prime, params.alpha);
+    let point = reliability.at(params.p, params.p_prime, params.alpha)?;
     Ok(move |m: &Marking| {
         places
             .system_state(m, policy)
-            .and_then(|state| reliability.reliability(state, p, pp, alpha).ok())
+            .and_then(|state| point.reliability(state).ok())
             .unwrap_or(0.0)
     })
 }
