@@ -9,7 +9,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use nvp_core::analysis::{linspace, ParamAxis};
-use nvp_core::engine::AnalysisEngine;
+use nvp_core::engine::{AnalysisEngine, SweepRequest};
 use nvp_core::params::SystemParams;
 use nvp_core::reward::RewardPolicy;
 use nvp_numerics::{Jobs, WorkerPool};
@@ -19,14 +19,15 @@ use std::time::Instant;
 /// One fig3-style sweep with a fresh engine, so the chain cache never hides
 /// the solve work between iterations.
 fn sweep(jobs: Jobs, grid: &[f64]) -> Vec<(f64, f64)> {
+    let req = SweepRequest::new(
+        SystemParams::paper_six_version(),
+        ParamAxis::RejuvenationInterval,
+        grid.to_vec(),
+        RewardPolicy::FailedOnly,
+    );
     AnalysisEngine::new()
         .with_jobs(jobs)
-        .sweep_parallel(
-            &SystemParams::paper_six_version(),
-            ParamAxis::RejuvenationInterval,
-            grid,
-            RewardPolicy::FailedOnly,
-        )
+        .sweep(&req, &|_| {})
         .unwrap()
 }
 

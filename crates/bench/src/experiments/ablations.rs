@@ -14,7 +14,8 @@
 use super::RenderedExperiment;
 use crate::report::{claims_table, ClaimCheck};
 use crate::{Fidelity, Result};
-use nvp_core::analysis::{expected_reliability, sweep, ParamAxis, SolverBackend};
+use nvp_core::analysis::{expected_reliability, ParamAxis, SolverBackend};
+use nvp_core::engine::{AnalysisEngine, SweepRequest};
 use nvp_core::params::{RejuvenationDistribution, ServerSemantics, SystemParams};
 use nvp_core::reward::RewardPolicy;
 use nvp_sim::dspn::{simulate_reward, SimOptions};
@@ -30,19 +31,21 @@ pub fn run(fidelity: Fidelity) -> Result<RenderedExperiment> {
     let mut claims = Vec::new();
 
     // 1. Reward policy: interior optimum vs monotone curve.
-    let grid = [200.0, 450.0, 600.0, 1200.0, 3000.0];
-    let failed_only = sweep(
-        &p6,
-        ParamAxis::RejuvenationInterval,
-        &grid,
-        RewardPolicy::FailedOnly,
-    )?;
-    let as_written = sweep(
-        &p6,
-        ParamAxis::RejuvenationInterval,
-        &grid,
-        RewardPolicy::AsWritten,
-    )?;
+    let grid = vec![200.0, 450.0, 600.0, 1200.0, 3000.0];
+    // The policy only weights the reward stage: both sweeps share one
+    // engine's chain solves.
+    let engine = AnalysisEngine::new();
+    let sweep = |policy| {
+        let req = SweepRequest::new(
+            p6.clone(),
+            ParamAxis::RejuvenationInterval,
+            grid.clone(),
+            policy,
+        );
+        engine.sweep(&req, &|_| {})
+    };
+    let failed_only = sweep(RewardPolicy::FailedOnly)?;
+    let as_written = sweep(RewardPolicy::AsWritten)?;
     let failed_only_interior =
         failed_only[1].1 > failed_only[0].1 && failed_only[1].1 > failed_only[4].1;
     // Under the literal reading, smaller intervals are monotonically better.

@@ -5,7 +5,8 @@
 use super::RenderedExperiment;
 use crate::report::{claims_table, ClaimCheck, NamedSeries, SweepSeries};
 use crate::{Fidelity, Result};
-use nvp_core::analysis::{find_crossover, linspace, sweep_parallel, ParamAxis};
+use nvp_core::analysis::{find_crossover, linspace, ParamAxis};
+use nvp_core::engine::{AnalysisEngine, SweepRequest};
 use nvp_core::params::SystemParams;
 use nvp_core::reward::RewardPolicy;
 
@@ -24,11 +25,14 @@ pub struct PanelResult {
 ///
 /// Analysis failures.
 pub fn panel(axis: ParamAxis, grid: &[f64]) -> Result<PanelResult> {
-    let p4 = SystemParams::paper_four_version();
-    let p6 = SystemParams::paper_six_version();
+    let engine = AnalysisEngine::new();
+    let sweep = |params| {
+        let req = SweepRequest::new(params, axis, grid.to_vec(), RewardPolicy::FailedOnly);
+        engine.sweep(&req, &|_| {})
+    };
     Ok(PanelResult {
-        four: sweep_parallel(&p4, axis, grid, RewardPolicy::FailedOnly)?,
-        six: sweep_parallel(&p6, axis, grid, RewardPolicy::FailedOnly)?,
+        four: sweep(SystemParams::paper_four_version())?,
+        six: sweep(SystemParams::paper_six_version())?,
     })
 }
 

@@ -27,7 +27,7 @@
 pub mod journal;
 
 use nvp_core::analysis::{self, ParamAxis, SolverBackend};
-use nvp_core::engine::{AnalysisEngine, SweepPointRecord};
+use nvp_core::engine::{AnalysisEngine, SweepPointRecord, SweepRequest};
 use nvp_core::params::SystemParams;
 use nvp_core::reliability::ReliabilitySource;
 use nvp_core::report::{render_with_on, ReportOptions};
@@ -683,12 +683,19 @@ fn cmd_sweep(args: &[String], out: &mut dyn Write) -> Result<RunStatus> {
             ),
         });
     }
+    if steps > analysis::MAX_SWEEP_STEPS {
+        return Err(CliError {
+            message: format!(
+                "sweep --steps is capped at {}; got --steps {steps}",
+                analysis::MAX_SWEEP_STEPS
+            ),
+        });
+    }
     if resume && out_path.is_none() {
         return Err(CliError {
             message: "--resume requires --out FILE (the journal lives next to the CSV)".into(),
         });
     }
-    let grid = analysis::linspace(from, to, steps);
     let cache_dir = resolve_cache_dir(cache_dir);
     let session = TraceSession::start(&obs);
     let mut engine = resilient_engine(budget_ms, jobs, cache_dir.as_deref())?;
@@ -702,22 +709,24 @@ fn cmd_sweep(args: &[String], out: &mut dyn Write) -> Result<RunStatus> {
     // resumed sweep reports only this run's work (replayed points show up as
     // resume hits, not as recomputed solves).
     let baseline = engine.stats().snapshot();
-    let progress = SweepProgress::new(grid.len());
+    let progress = SweepProgress::new(steps);
     let retries_counter = engine.metrics().counter("nvp_retries_total");
-    let backend = max_markings.map_or(SolverBackend::Auto, SolverBackend::Budget);
+    let req = SweepRequest {
+        backend: max_markings.map_or(SolverBackend::Auto, SolverBackend::Budget),
+        ..SweepRequest::new(params, axis, analysis::linspace(from, to, steps), policy)
+    };
     let (points, replayed_degraded) = match &out_path {
         Some(path) => {
             // Everything that determines the sweep's output goes into the
             // journal fingerprint; `--resume` against a journal recording a
             // different invocation must fail, not mix results.
             let fp = journal::fingerprint(&format!(
-                "{params:?}|{policy:?}|{axis:?}|{:016x}|{:016x}|{steps}|{max_markings:?}",
+                "{:?}|{policy:?}|{axis:?}|{:016x}|{:016x}|{steps}|{max_markings:?}",
+                req.params,
                 from.to_bits(),
                 to.to_bits(),
             ));
-            sweep_journaled(
-                &engine, &params, axis, &grid, policy, backend, path, fp, resume, &progress,
-            )?
+            sweep_journaled(&engine, &req, path, fp, resume, &progress)?
         }
         None => {
             // Completion callbacks arrive on whichever worker finished the
@@ -733,17 +742,11 @@ fn cmd_sweep(args: &[String], out: &mut dyn Write) -> Result<RunStatus> {
                 }
                 progress.point_done(record.degraded, retries_counter.get());
             };
-            (
-                engine.sweep_supervised(&params, axis, &grid, policy, backend, &observer)?,
-                false,
-            )
+            (engine.sweep(&req, &observer)?, false)
         }
     };
     progress.finish();
-    let mut csv = format!("{},expected_reliability\n", axis.label());
-    for (x, r) in &points {
-        csv.push_str(&format!("{x},{r}\n"));
-    }
+    let csv = analysis::sweep_csv(axis, &points);
     match &out_path {
         Some(path) => {
             journal::write_atomic(path, csv.as_bytes()).map_err(|e| CliError {
@@ -783,19 +786,15 @@ fn cmd_sweep(args: &[String], out: &mut dyn Write) -> Result<RunStatus> {
 /// to the journal the moment it completes. Returns the full grid's results
 /// plus whether any *replayed* point was originally degraded (fresh degraded
 /// solves are already visible in the engine's statistics).
-#[allow(clippy::too_many_arguments)]
 fn sweep_journaled(
     engine: &AnalysisEngine,
-    params: &SystemParams,
-    axis: ParamAxis,
-    grid: &[f64],
-    policy: RewardPolicy,
-    backend: SolverBackend,
+    req: &SweepRequest,
     out_path: &std::path::Path,
     fingerprint: u64,
     resume: bool,
     progress: &SweepProgress,
 ) -> Result<(Vec<(f64, f64)>, bool)> {
+    let grid = &req.values;
     let journal_path = std::path::PathBuf::from(format!("{}.journal", out_path.display()));
     let io_err = |e: std::io::Error| CliError {
         message: format!("sweep journal `{}`: {e}", journal_path.display()),
@@ -839,7 +838,7 @@ fn sweep_journaled(
             if record.degraded {
                 nvp_obs::sink::warn(&format!(
                     "degraded result at {} = {}",
-                    axis.label(),
+                    req.axis.label(),
                     record.x
                 ));
             }
@@ -852,8 +851,11 @@ fn sweep_journaled(
                     .get_or_insert(e);
             }
         };
-        let solved =
-            engine.sweep_supervised(params, axis, &missing_values, policy, backend, &observer)?;
+        let missing_req = SweepRequest {
+            values: missing_values,
+            ..req.clone()
+        };
+        let solved = engine.sweep(&missing_req, &observer)?;
         if let Some(e) = append_error.into_inner().unwrap_or_else(|p| p.into_inner()) {
             return Err(io_err(e));
         }
@@ -1630,6 +1632,32 @@ mod tests {
             .unwrap_err();
             assert!(
                 err.message.contains("--steps >= 2"),
+                "steps {steps}: {}",
+                err.message
+            );
+        }
+    }
+
+    #[test]
+    fn sweep_rejects_steps_above_the_cap() {
+        // The grid is allocated up front, so an uncapped --steps would abort
+        // the process on allocation failure instead of failing as a usage
+        // error.
+        for steps in [analysis::MAX_SWEEP_STEPS + 1, 10_000_000_000_000] {
+            let err = run_to_string(&[
+                "sweep",
+                "--axis",
+                "alpha",
+                "--from",
+                "0",
+                "--to",
+                "1",
+                "--steps",
+                &steps.to_string(),
+            ])
+            .unwrap_err();
+            assert!(
+                err.message.contains("--steps is capped"),
                 "steps {steps}: {}",
                 err.message
             );

@@ -5,12 +5,13 @@
 //! steady-state probabilities (`nvp-mrgp`) → reward-weighted sum with the
 //! reliability functions ([`crate::reliability`]).
 //!
-//! Every function in this module is a thin wrapper over a fresh
-//! [`AnalysisEngine`]: the engine memoizes
-//! the expensive chain stage (model build + exploration + steady-state
-//! solve), so sweeps and searches that revisit the same chain parameters
-//! pay for it once. Hold an engine yourself to share the cache across
-//! calls and to read [`SolverStats`](crate::engine::SolverStats).
+//! The analysis functions in this module are thin wrappers over a fresh
+//! [`AnalysisEngine`]: the engine memoizes the expensive chain stage
+//! (model build + exploration + steady-state solve), so searches that
+//! revisit the same chain parameters pay for it once. Sweeps have no free
+//! function: build a [`SweepRequest`](crate::engine::SweepRequest) and run
+//! it with [`AnalysisEngine::sweep`], holding the engine to share its cache
+//! across calls and to read [`SolverStats`](crate::engine::SolverStats).
 
 use crate::engine::AnalysisEngine;
 use crate::params::SystemParams;
@@ -253,58 +254,12 @@ impl ParamAxis {
     }
 }
 
-/// Evaluates `E[R_sys]` at each value of `axis`, returning `(value, E[R])`
-/// pairs.
-///
-/// # Errors
-///
-/// Propagates analysis errors for any point of the sweep.
-pub fn sweep(
-    params: &SystemParams,
-    axis: ParamAxis,
-    values: &[f64],
-    policy: RewardPolicy,
-) -> Result<Vec<(f64, f64)>> {
-    AnalysisEngine::new().sweep(params, axis, values, policy)
-}
-
-/// Like [`sweep`], but evaluates the points on `std::thread` workers (one
-/// per available core, capped at the number of points) sharing one chain
-/// cache. Results are identical to the sequential version — the analysis
-/// is deterministic — and arrive in input order.
-///
-/// # Errors
-///
-/// Propagates the first analysis error by input order.
-pub fn sweep_parallel(
-    params: &SystemParams,
-    axis: ParamAxis,
-    values: &[f64],
-    policy: RewardPolicy,
-) -> Result<Vec<(f64, f64)>> {
-    AnalysisEngine::new().sweep_parallel(params, axis, values, policy)
-}
-
-/// [`sweep_parallel`] with an explicit solver backend and worker request.
-/// Extra workers come from the process-wide worker pool
-/// ([`nvp_numerics::WorkerPool`]); with none available the sweep runs on
-/// the calling thread alone.
-///
-/// # Errors
-///
-/// Propagates the lowest-index analysis error.
-pub fn sweep_parallel_with(
-    params: &SystemParams,
-    axis: ParamAxis,
-    values: &[f64],
-    policy: RewardPolicy,
-    backend: SolverBackend,
-    jobs: nvp_numerics::Jobs,
-) -> Result<Vec<(f64, f64)>> {
-    AnalysisEngine::new()
-        .with_jobs(jobs)
-        .sweep_parallel_with(params, axis, values, policy, backend)
-}
+/// Upper bound on the `steps` of one sweep, checked by `nvp sweep` and
+/// `nvp serve` before they build the grid. The grid is materialized up
+/// front (`steps` f64s) and each point is a full solve, so an unbounded
+/// value is an allocation bomb: an allocation-failure abort is not a panic
+/// and no supervisor can contain it.
+pub const MAX_SWEEP_STEPS: usize = 100_000;
 
 /// Generates `steps` evenly spaced values covering `[lo, hi]` inclusive.
 /// `steps == 0` yields an empty grid; `steps == 1` yields just `lo`.
@@ -317,6 +272,17 @@ pub fn linspace(lo: f64, hi: f64, steps: usize) -> Vec<f64> {
             (0..steps).map(|i| lo + h * i as f64).collect()
         }
     }
+}
+
+/// Renders sweep points as the CSV `nvp sweep` prints and `nvp serve`
+/// returns: a header row with the axis label, then one `x,E[R]` row per
+/// point in plain `f64` `Display` formatting.
+pub fn sweep_csv(axis: ParamAxis, points: &[(f64, f64)]) -> String {
+    let mut csv = format!("{},expected_reliability\n", axis.label());
+    for (x, r) in points {
+        csv.push_str(&format!("{x},{r}\n"));
+    }
+    csv
 }
 
 /// The rejuvenation interval in `[lo, hi]` that maximizes `E[R_sys]`
@@ -403,6 +369,8 @@ pub fn find_crossover(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::SweepRequest;
+    use nvp_numerics::Jobs;
 
     /// The paper's headline four-version value: 0.8233477 (§V-B). The
     /// calibrated reproduction yields 0.8223487 — within 0.13% (the paper's
@@ -501,13 +469,16 @@ mod tests {
     #[test]
     fn sweep_returns_one_point_per_value() {
         let values = [300.0, 600.0, 1200.0];
-        let result = sweep(
-            &SystemParams::paper_six_version(),
+        let request = SweepRequest::new(
+            SystemParams::paper_six_version(),
             ParamAxis::RejuvenationInterval,
-            &values,
+            values.to_vec(),
             RewardPolicy::FailedOnly,
-        )
-        .unwrap();
+        );
+        let result = AnalysisEngine::new()
+            .with_jobs(Jobs::Fixed(1))
+            .sweep(&request, &|_| {})
+            .unwrap();
         assert_eq!(result.len(), 3);
         for ((x, r), v) in result.iter().zip(&values) {
             assert_eq!(x, v);
@@ -552,29 +523,32 @@ mod tests {
         // The Figure 3 gamma grid (quick fidelity): [200, 3000] in 8 steps.
         let params = SystemParams::paper_six_version();
         let values = linspace(200.0, 3000.0, 8);
-        let sequential = sweep(
-            &params,
+        let request = SweepRequest::new(
+            params.clone(),
             ParamAxis::RejuvenationInterval,
-            &values,
+            values,
             RewardPolicy::FailedOnly,
-        )
-        .unwrap();
-        let parallel = sweep_parallel(
-            &params,
-            ParamAxis::RejuvenationInterval,
-            &values,
-            RewardPolicy::FailedOnly,
-        )
-        .unwrap();
+        );
+        let sequential = AnalysisEngine::new()
+            .with_jobs(Jobs::Fixed(1))
+            .sweep(&request, &|_| {})
+            .unwrap();
+        let parallel = AnalysisEngine::new().sweep(&request, &|_| {}).unwrap();
         assert_eq!(sequential, parallel);
         // Error propagation: an invalid point fails the whole sweep.
-        assert!(sweep_parallel(
-            &params,
+        let invalid = SweepRequest::new(
+            params,
             ParamAxis::Alpha,
-            &[0.5, 2.0],
-            RewardPolicy::FailedOnly
-        )
-        .is_err());
+            vec![0.5, 2.0],
+            RewardPolicy::FailedOnly,
+        );
+        assert!(AnalysisEngine::new().sweep(&invalid, &|_| {}).is_err());
+    }
+
+    #[test]
+    fn sweep_csv_matches_cli_shape() {
+        let csv = sweep_csv(ParamAxis::Alpha, &[(0.1, 0.9375), (0.2, 0.9)]);
+        assert_eq!(csv, "alpha,expected_reliability\n0.1,0.9375\n0.2,0.9\n");
     }
 
     #[test]

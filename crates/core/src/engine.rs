@@ -17,7 +17,7 @@
 //! solve, a property [`AnalysisEngine`] exploits by memoizing chain
 //! solutions under a [`ChainKey`].
 //!
-//! The engine is [`Sync`]: [`AnalysisEngine::sweep_parallel`] workers share
+//! The engine is [`Sync`]: [`AnalysisEngine::sweep`] workers share
 //! one cache, and concurrent requests for the same key block on a per-key
 //! slot so the chain is still solved only once.
 //!
@@ -123,8 +123,48 @@ pub struct DegradedInfo {
     pub half_widths: Vec<f64>,
 }
 
+/// One parameter sweep of `E[R_sys]`, as run by [`AnalysisEngine::sweep`]:
+/// the base parameters, the swept axis and its grid, and how each point is
+/// solved.
+#[derive(Debug, Clone)]
+pub struct SweepRequest {
+    /// Parameters every grid point starts from.
+    pub params: SystemParams,
+    /// Swept parameter.
+    pub axis: ParamAxis,
+    /// Grid of `axis` values, solved and returned in this order.
+    pub values: Vec<f64>,
+    /// Reward interpretation.
+    pub policy: RewardPolicy,
+    /// Solver backend for every chain solve.
+    pub backend: SolverBackend,
+    /// Per-request deadline in milliseconds for each point's solve, on top
+    /// of the engine's own budget ([`AnalysisEngine::with_budget_ms`]).
+    pub budget_ms: Option<u64>,
+}
+
+impl SweepRequest {
+    /// A sweep of `axis` over `values` from `params`, on the default
+    /// backend ([`SolverBackend::Auto`]) and with no per-request deadline.
+    pub fn new(
+        params: SystemParams,
+        axis: ParamAxis,
+        values: Vec<f64>,
+        policy: RewardPolicy,
+    ) -> Self {
+        SweepRequest {
+            params,
+            axis,
+            values,
+            policy,
+            backend: SolverBackend::Auto,
+            budget_ms: None,
+        }
+    }
+}
+
 /// A completed grid point, as reported to the observer of
-/// [`AnalysisEngine::sweep_supervised`]. Carries everything a checkpoint
+/// [`AnalysisEngine::sweep`]. Carries everything a checkpoint
 /// journal needs to replay the point without re-solving it.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SweepPointRecord {
@@ -733,8 +773,8 @@ impl Slot {
 /// # Example
 ///
 /// ```
-/// use nvp_core::engine::AnalysisEngine;
-/// use nvp_core::analysis::{ParamAxis, SolverBackend};
+/// use nvp_core::engine::{AnalysisEngine, SweepRequest};
+/// use nvp_core::analysis::ParamAxis;
 /// use nvp_core::params::SystemParams;
 /// use nvp_core::reward::RewardPolicy;
 ///
@@ -742,11 +782,12 @@ impl Slot {
 /// let engine = AnalysisEngine::new();
 /// let params = SystemParams::paper_six_version();
 /// // An alpha sweep only varies reward parameters: one chain solve total.
-/// let grid = [0.0, 0.25, 0.5, 0.75, 1.0];
-/// engine.sweep(&params, ParamAxis::Alpha, &grid, RewardPolicy::FailedOnly)?;
+/// let grid = vec![0.0, 0.25, 0.5, 0.75, 1.0];
+/// let request = SweepRequest::new(params, ParamAxis::Alpha, grid, RewardPolicy::FailedOnly);
+/// engine.sweep(&request, &|_| {})?;
 /// let stats = engine.stats();
 /// assert_eq!(stats.cache_misses, 1);
-/// assert_eq!(stats.cache_hits, grid.len() as u64 - 1);
+/// assert_eq!(stats.cache_hits, request.values.len() as u64 - 1);
 /// # Ok(())
 /// # }
 /// ```
@@ -905,7 +946,7 @@ impl AnalysisEngine {
     }
 
     /// Returns this engine with `jobs` controlling both parallelism levels:
-    /// the grid-point workers of [`AnalysisEngine::sweep_parallel`] and the
+    /// the grid-point workers of [`AnalysisEngine::sweep`] and the
     /// subordinated-chain row workers inside each MRGP solve. Both levels
     /// draw extra-worker permits from the process-wide
     /// [`WorkerPool`], so nesting them degrades toward serial execution
@@ -934,7 +975,7 @@ impl AnalysisEngine {
 
     /// Returns this engine giving each supervised grid-point solve a
     /// watchdog deadline of `ms` milliseconds: during
-    /// [`AnalysisEngine::sweep_supervised`] a background watchdog cancels
+    /// [`AnalysisEngine::sweep`] a background watchdog cancels
     /// (via the budget's cancellation flag) any point that overstays its
     /// lease, the lease's permit is reclaimed, and the point is retried per
     /// [`AnalysisEngine::with_retries`]. Unlike
@@ -1381,137 +1422,52 @@ impl AnalysisEngine {
         Ok(availability)
     }
 
-    /// Sequential sweep of `E[R_sys]` over `axis` (see
-    /// [`crate::analysis::sweep`]). Reward-only axes (`Alpha`,
-    /// `HealthyInaccuracy`, `CompromisedInaccuracy`) reuse a single chain
-    /// solution for the entire grid.
+    /// Sweeps `E[R_sys]` over `req.axis`, returning `(value, E[R])` pairs
+    /// in input order. Reward-only axes (`Alpha`, `HealthyInaccuracy`,
+    /// `CompromisedInaccuracy`) reuse a single chain solution for the
+    /// entire grid.
     ///
-    /// # Errors
-    ///
-    /// Propagates analysis errors for any point of the sweep.
-    pub fn sweep(
-        &self,
-        params: &SystemParams,
-        axis: ParamAxis,
-        values: &[f64],
-        policy: RewardPolicy,
-    ) -> Result<Vec<(f64, f64)>> {
-        self.sweep_with(params, axis, values, policy, SolverBackend::Auto)
-    }
-
-    /// [`AnalysisEngine::sweep`] with an explicit solver backend.
-    ///
-    /// # Errors
-    ///
-    /// Propagates analysis errors for any point of the sweep.
-    pub fn sweep_with(
-        &self,
-        params: &SystemParams,
-        axis: ParamAxis,
-        values: &[f64],
-        policy: RewardPolicy,
-        backend: SolverBackend,
-    ) -> Result<Vec<(f64, f64)>> {
-        values
-            .iter()
-            .map(|&v| {
-                let p = axis.apply(params, v);
-                Ok((v, self.expected_reliability(&p, policy, backend)?))
-            })
-            .collect()
-    }
-
-    /// Parallel sweep on `std::thread` workers sharing this engine's cache
-    /// (see [`crate::analysis::sweep_parallel`]). Results are identical to
-    /// [`AnalysisEngine::sweep`] and arrive in input order.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the lowest-index analysis error.
-    pub fn sweep_parallel(
-        &self,
-        params: &SystemParams,
-        axis: ParamAxis,
-        values: &[f64],
-        policy: RewardPolicy,
-    ) -> Result<Vec<(f64, f64)>> {
-        self.sweep_parallel_with(params, axis, values, policy, SolverBackend::Auto)
-    }
-
-    /// [`AnalysisEngine::sweep_parallel`] with an explicit solver backend.
-    ///
-    /// Extra workers are drawn from the process-wide [`WorkerPool`] (the
-    /// calling thread always works, so the sweep degrades to
-    /// [`AnalysisEngine::sweep_with`] when no permits are available). A
-    /// failing grid point raises a cancellation flag: points no worker has
-    /// started yet are skipped (counted in
-    /// [`SolverStats::sweep_cancellations`]) and the lowest-index recorded
-    /// error is returned instead of solving the rest of a doomed grid.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the lowest-index analysis error.
-    pub fn sweep_parallel_with(
-        &self,
-        params: &SystemParams,
-        axis: ParamAxis,
-        values: &[f64],
-        policy: RewardPolicy,
-        backend: SolverBackend,
-    ) -> Result<Vec<(f64, f64)>> {
-        self.sweep_supervised(params, axis, values, policy, backend, &|_| {})
-    }
-
-    /// [`AnalysisEngine::sweep_parallel_with`] under full supervision, with
-    /// a per-point completion observer.
+    /// Extra workers are drawn from the process-wide [`WorkerPool`]; the
+    /// calling thread always works, so the sweep runs serially when
+    /// [`AnalysisEngine::with_jobs`] asks for one worker, the grid has one
+    /// point, or no permits are available. A failing grid point raises a
+    /// cancellation flag: points no worker has started yet are skipped
+    /// (counted in [`SolverStats::sweep_cancellations`]) and the
+    /// lowest-index recorded error is returned instead of solving the rest
+    /// of a doomed grid.
     ///
     /// Each grid point runs as a *supervised* solve: wrapped in
     /// `catch_unwind` (a worker panic costs that point, never the process),
     /// registered as a [`WorkerPool`] lease so the watchdog started for the
     /// sweep's duration — when [`AnalysisEngine::with_point_deadline_ms`] is
     /// configured — can cancel an overdue solve, and retried per
-    /// [`AnalysisEngine::with_retries`] after retryable failures.
+    /// [`AnalysisEngine::with_retries`] after retryable failures. Every
+    /// point's solve budget is the tighter of the engine budget and
+    /// [`SweepRequest::budget_ms`], so one client's deadline never
+    /// reconfigures a shared engine.
     ///
     /// `observer` is invoked once per *completed* point, from whichever
     /// worker thread finished it (hence `Sync`), in completion order — not
-    /// input order. The `nvp sweep` journal appends from here, which is what
-    /// makes checkpoints crash-consistent: a point is journaled only after
-    /// its value exists.
+    /// input order. A failed point produces no record. The `nvp sweep`
+    /// journal appends from here, which is what makes checkpoints
+    /// crash-consistent: a point is journaled only after its value exists.
     ///
     /// # Errors
     ///
     /// Propagates the lowest-index analysis error.
-    pub fn sweep_supervised(
+    pub fn sweep(
         &self,
-        params: &SystemParams,
-        axis: ParamAxis,
-        values: &[f64],
-        policy: RewardPolicy,
-        backend: SolverBackend,
+        req: &SweepRequest,
         observer: &(dyn Fn(SweepPointRecord) + Sync),
     ) -> Result<Vec<(f64, f64)>> {
-        self.sweep_supervised_budgeted(params, axis, values, policy, backend, None, observer)
-    }
-
-    /// [`AnalysisEngine::sweep_supervised`] under an optional per-request
-    /// deadline: every point's solve budget is the tighter of the engine
-    /// budget and `budget_ms`. This is the entry point `nvp serve` uses so
-    /// one client's deadline never reconfigures the shared engine.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the lowest-index analysis error.
-    #[allow(clippy::too_many_arguments)]
-    pub fn sweep_supervised_budgeted(
-        &self,
-        params: &SystemParams,
-        axis: ParamAxis,
-        values: &[f64],
-        policy: RewardPolicy,
-        backend: SolverBackend,
-        budget_ms: Option<u64>,
-        observer: &(dyn Fn(SweepPointRecord) + Sync),
-    ) -> Result<Vec<(f64, f64)>> {
+        let SweepRequest {
+            ref params,
+            axis,
+            ref values,
+            policy,
+            backend,
+            budget_ms,
+        } = *req;
         let pool = WorkerPool::global();
         // One watchdog covers the whole sweep; sweeping a few times per
         // deadline keeps cancellation latency well under one deadline.
@@ -2240,7 +2196,17 @@ mod tests {
     use super::*;
     use crate::analysis;
 
-    // The whole point of the engine: sweep_parallel workers share it.
+    /// A failed-only sweep of `axis` over `values` from `params`.
+    fn request(params: &SystemParams, axis: ParamAxis, values: &[f64]) -> SweepRequest {
+        SweepRequest::new(
+            params.clone(),
+            axis,
+            values.to_vec(),
+            RewardPolicy::FailedOnly,
+        )
+    }
+
+    // The whole point of the engine: sweep workers share it.
     const _ASSERT_SYNC: fn() = || {
         fn is_sync<T: Sync + Send>() {}
         is_sync::<AnalysisEngine>();
@@ -2249,30 +2215,28 @@ mod tests {
 
     #[test]
     fn reward_only_sweep_solves_the_chain_exactly_once() {
-        let engine = AnalysisEngine::new();
+        let engine = AnalysisEngine::new().with_jobs(Jobs::Fixed(1));
         let params = SystemParams::paper_six_version();
         let grid = analysis::linspace(0.0, 1.0, 9);
         engine
-            .sweep(&params, ParamAxis::Alpha, &grid, RewardPolicy::FailedOnly)
+            .sweep(&request(&params, ParamAxis::Alpha, &grid), &|_| {})
             .unwrap();
         assert_eq!(engine.cache_misses(), 1, "one chain solve for 9 points");
         assert_eq!(engine.cache_hits(), 8);
         assert_eq!(engine.cache_len(), 1);
         // The other two reward axes reuse the same solution too.
+        let p_grid = analysis::linspace(0.0, 0.3, 5);
         engine
             .sweep(
-                &params,
-                ParamAxis::HealthyInaccuracy,
-                &analysis::linspace(0.0, 0.3, 5),
-                RewardPolicy::FailedOnly,
+                &request(&params, ParamAxis::HealthyInaccuracy, &p_grid),
+                &|_| {},
             )
             .unwrap();
+        let p_prime_grid = analysis::linspace(0.3, 0.9, 5);
         engine
             .sweep(
-                &params,
-                ParamAxis::CompromisedInaccuracy,
-                &analysis::linspace(0.3, 0.9, 5),
-                RewardPolicy::FailedOnly,
+                &request(&params, ParamAxis::CompromisedInaccuracy, &p_prime_grid),
+                &|_| {},
             )
             .unwrap();
         assert_eq!(engine.cache_misses(), 1, "still a single chain solve");
@@ -2281,27 +2245,17 @@ mod tests {
 
     #[test]
     fn chain_axes_miss_per_distinct_value() {
-        let engine = AnalysisEngine::new();
+        let engine = AnalysisEngine::new().with_jobs(Jobs::Fixed(1));
         let params = SystemParams::paper_six_version();
-        let grid = [300.0, 600.0, 900.0];
-        engine
-            .sweep(
-                &params,
-                ParamAxis::RejuvenationInterval,
-                &grid,
-                RewardPolicy::FailedOnly,
-            )
-            .unwrap();
+        let req = request(
+            &params,
+            ParamAxis::RejuvenationInterval,
+            &[300.0, 600.0, 900.0],
+        );
+        engine.sweep(&req, &|_| {}).unwrap();
         assert_eq!(engine.cache_misses(), 3, "interval reshapes the chain");
         // Re-running the same grid is all hits.
-        engine
-            .sweep(
-                &params,
-                ParamAxis::RejuvenationInterval,
-                &grid,
-                RewardPolicy::FailedOnly,
-            )
-            .unwrap();
+        engine.sweep(&req, &|_| {}).unwrap();
         assert_eq!(engine.cache_misses(), 3);
         assert_eq!(engine.cache_hits(), 3);
     }
@@ -2355,15 +2309,18 @@ mod tests {
 
     #[test]
     fn parallel_sweep_shares_one_chain_for_reward_axes() {
-        let engine = AnalysisEngine::new();
         let params = SystemParams::paper_six_version();
-        let grid = analysis::linspace(0.05, 0.95, 8);
-        let sequential = engine
-            .sweep(&params, ParamAxis::Alpha, &grid, RewardPolicy::FailedOnly)
+        let req = request(
+            &params,
+            ParamAxis::Alpha,
+            &analysis::linspace(0.05, 0.95, 8),
+        );
+        let sequential = AnalysisEngine::new()
+            .with_jobs(Jobs::Fixed(1))
+            .sweep(&req, &|_| {})
             .unwrap();
-        let parallel = engine
-            .sweep_parallel(&params, ParamAxis::Alpha, &grid, RewardPolicy::FailedOnly)
-            .unwrap();
+        let engine = AnalysisEngine::new().with_jobs(Jobs::Fixed(4));
+        let parallel = engine.sweep(&req, &|_| {}).unwrap();
         assert_eq!(sequential, parallel);
         assert_eq!(engine.cache_misses(), 1, "parallel workers shared the slot");
     }
@@ -2499,25 +2456,17 @@ mod tests {
         // solve whose row stage *also* asks the pool for workers — the
         // nesting scenario the permit budget exists for.
         let params = SystemParams::paper_six_version();
-        let grid = analysis::linspace(200.0, 3000.0, 6);
+        let req = request(
+            &params,
+            ParamAxis::RejuvenationInterval,
+            &analysis::linspace(200.0, 3000.0, 6),
+        );
         let serial = AnalysisEngine::new()
             .with_jobs(Jobs::Fixed(1))
-            .sweep_parallel(
-                &params,
-                ParamAxis::RejuvenationInterval,
-                &grid,
-                RewardPolicy::FailedOnly,
-            )
+            .sweep(&req, &|_| {})
             .unwrap();
         let engine = AnalysisEngine::new().with_jobs(Jobs::Fixed(8));
-        let parallel = engine
-            .sweep_parallel(
-                &params,
-                ParamAxis::RejuvenationInterval,
-                &grid,
-                RewardPolicy::FailedOnly,
-            )
-            .unwrap();
+        let parallel = engine.sweep(&req, &|_| {}).unwrap();
         assert_eq!(serial, parallel, "worker count must not change results");
         assert!(
             pool.peak() < pool.capacity(),
@@ -2543,7 +2492,7 @@ mod tests {
         // points instead of solving a doomed grid.
         let grid = vec![2.0; 12];
         let err = engine
-            .sweep_parallel(&params, ParamAxis::Alpha, &grid, RewardPolicy::FailedOnly)
+            .sweep(&request(&params, ParamAxis::Alpha, &grid), &|_| {})
             .unwrap_err();
         assert!(
             matches!(err, crate::CoreError::InvalidParameter { .. }),
@@ -2559,16 +2508,62 @@ mod tests {
     }
 
     #[test]
-    fn parallel_sweep_with_serial_jobs_matches_sequential_path() {
+    fn observer_fires_once_per_completed_point() {
+        let _lock = pool_test_lock();
+        let pool = WorkerPool::global();
+        pool.set_capacity(pool.capacity().max(4));
+        let params = SystemParams::paper_six_version();
+        let req = request(&params, ParamAxis::Alpha, &analysis::linspace(0.0, 1.0, 16));
+        // Alpha = 2.0 is invalid: that point fails and must not be reported.
+        let failing = request(&params, ParamAxis::Alpha, &[0.5, 2.0, 0.25]);
+        for jobs in [Jobs::Fixed(1), Jobs::Fixed(4)] {
+            let engine = AnalysisEngine::new().with_jobs(jobs);
+            let records = Mutex::new(Vec::new());
+            let points = engine
+                .sweep(&req, &|r| records.lock().unwrap().push(r))
+                .unwrap();
+            let mut records = records.into_inner().unwrap();
+            records.sort_by_key(|r| r.index);
+            let indices: Vec<usize> = records.iter().map(|r| r.index).collect();
+            assert_eq!(
+                indices,
+                (0..req.values.len()).collect::<Vec<_>>(),
+                "{jobs:?}"
+            );
+            for (record, &(x, value)) in records.iter().zip(&points) {
+                assert_eq!(record.x.to_bits(), x.to_bits(), "{jobs:?}");
+                assert_eq!(record.value.to_bits(), value.to_bits(), "{jobs:?}");
+            }
+            let records = Mutex::new(Vec::new());
+            assert!(engine
+                .sweep(&failing, &|r| records.lock().unwrap().push(r))
+                .is_err());
+            let records = records.into_inner().unwrap();
+            assert!(
+                records.iter().all(|r| r.index != 1),
+                "{jobs:?}: {records:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn serial_sweep_matches_the_per_point_reference() {
         let engine = AnalysisEngine::new().with_jobs(Jobs::Fixed(1));
         let params = SystemParams::paper_six_version();
         let grid = analysis::linspace(0.05, 0.95, 5);
         let parallel = engine
-            .sweep_parallel(&params, ParamAxis::Alpha, &grid, RewardPolicy::FailedOnly)
+            .sweep(&request(&params, ParamAxis::Alpha, &grid), &|_| {})
             .unwrap();
-        let sequential = engine
-            .sweep(&params, ParamAxis::Alpha, &grid, RewardPolicy::FailedOnly)
-            .unwrap();
+        // The unsupervised per-point reference.
+        let sequential: Vec<(f64, f64)> = grid
+            .iter()
+            .map(|&v| {
+                let p = ParamAxis::Alpha.apply(&params, v);
+                let r =
+                    engine.expected_reliability(&p, RewardPolicy::FailedOnly, SolverBackend::Auto);
+                (v, r.unwrap())
+            })
+            .collect();
         assert_eq!(parallel, sequential);
         assert_eq!(engine.stats().sweep_cancellations, 0);
     }
@@ -2778,17 +2773,16 @@ mod tests {
         use nvp_numerics::fault::{arm, FaultMode, FaultPlan, Site};
         let params = SystemParams::paper_six_version();
         let grid = [0.0, 0.3, 0.6];
+        let req = request(&params, ParamAxis::Alpha, &grid);
         let healthy = AnalysisEngine::new()
             .with_jobs(Jobs::Fixed(1))
-            .sweep_parallel(&params, ParamAxis::Alpha, &grid, RewardPolicy::FailedOnly)
+            .sweep(&req, &|_| {})
             .unwrap();
         // The first dense stationary solve panics; only that grid point
         // falls back to the alternate backend, the sweep itself completes.
         let engine = AnalysisEngine::new().with_jobs(Jobs::Fixed(1));
         let guard = arm(FaultPlan::new(Site::DenseStationary, FaultMode::Panic).times(1));
-        let swept = engine
-            .sweep_parallel(&params, ParamAxis::Alpha, &grid, RewardPolicy::FailedOnly)
-            .unwrap();
+        let swept = engine.sweep(&req, &|_| {}).unwrap();
         drop(guard);
         assert_eq!(swept.len(), grid.len());
         for ((x, y), (hx, hy)) in swept.iter().zip(&healthy) {
@@ -2820,11 +2814,9 @@ mod tests {
             .with_retries(1);
         let guard = arm(FaultPlan::new(Site::SubordinatedTransient, FaultMode::Panic).times(2));
         let swept = engine
-            .sweep_parallel(
-                &params,
-                ParamAxis::Alpha,
-                &[params.alpha],
-                RewardPolicy::FailedOnly,
+            .sweep(
+                &request(&params, ParamAxis::Alpha, &[params.alpha]),
+                &|_| {},
             )
             .unwrap();
         drop(guard);
@@ -2858,11 +2850,9 @@ mod tests {
             FaultMode::Stall,
         ));
         let err = engine
-            .sweep_parallel(
-                &params,
-                ParamAxis::Alpha,
-                &[params.alpha],
-                RewardPolicy::FailedOnly,
+            .sweep(
+                &request(&params, ParamAxis::Alpha, &[params.alpha]),
+                &|_| {},
             )
             .unwrap_err();
         drop(guard);
@@ -2925,20 +2915,16 @@ mod tests {
 
     #[test]
     fn stats_delta_isolates_activity_since_the_snapshot() {
-        let engine = AnalysisEngine::new();
+        let engine = AnalysisEngine::new().with_jobs(Jobs::Fixed(1));
         let params = SystemParams::paper_six_version();
-        let grid = analysis::linspace(0.0, 1.0, 4);
-        engine
-            .sweep(&params, ParamAxis::Alpha, &grid, RewardPolicy::FailedOnly)
-            .unwrap();
+        let req = request(&params, ParamAxis::Alpha, &analysis::linspace(0.0, 1.0, 4));
+        engine.sweep(&req, &|_| {}).unwrap();
         let baseline = engine.stats().snapshot();
         assert_eq!(baseline.cache_misses, 1);
         assert_eq!(baseline.cache_hits, 3);
         // Re-running the same grid is pure cache traffic; the delta must
         // show only the new hits, not the replayed history.
-        engine
-            .sweep(&params, ParamAxis::Alpha, &grid, RewardPolicy::FailedOnly)
-            .unwrap();
+        engine.sweep(&req, &|_| {}).unwrap();
         let delta = engine.stats().delta(&baseline);
         assert_eq!(delta.cache_misses, 0, "no new chain solves");
         assert_eq!(delta.cache_hits, 4);
@@ -3048,16 +3034,16 @@ mod tests {
 
     #[test]
     fn bounded_cache_evicts_lru_and_never_exceeds_the_bound() {
-        let engine = AnalysisEngine::new().with_max_cache_entries(2);
+        let engine = AnalysisEngine::new()
+            .with_jobs(Jobs::Fixed(1))
+            .with_max_cache_entries(2);
         let params = SystemParams::paper_six_version();
         // Four distinct chain keys through a cache bounded at two entries.
         let grid = [600.0, 800.0, 1000.0, 1200.0];
         engine
             .sweep(
-                &params,
-                ParamAxis::MeanTimeToFailure,
-                &grid,
-                RewardPolicy::FailedOnly,
+                &request(&params, ParamAxis::MeanTimeToFailure, &grid),
+                &|_| {},
             )
             .unwrap();
         assert!(engine.cache_len() <= 2, "{}", engine.cache_len());

@@ -7,7 +7,7 @@
 //! serialized with [`Json::emit`], so everything the daemon sends parses
 //! with the same hardened parser it reads with.
 
-use nvp_core::analysis::{AnalysisReport, ParamAxis, SolverBackend};
+use nvp_core::analysis::{AnalysisReport, ParamAxis, SolverBackend, MAX_SWEEP_STEPS};
 use nvp_core::jobs::{JobOutcome, JobSnapshot, JobStatus};
 use nvp_core::params::SystemParams;
 use nvp_core::reward::RewardPolicy;
@@ -25,12 +25,6 @@ pub struct AnalyzeSpec {
     /// Per-request deadline in milliseconds.
     pub budget_ms: Option<u64>,
 }
-
-/// Upper bound on the `steps` of one sweep request. The grid is
-/// materialized up front (`steps` f64s) and each point is a full solve, so
-/// an unbounded value is a remote allocation bomb: an allocation-failure
-/// abort is not a panic and the connection supervisor cannot contain it.
-pub const MAX_SWEEP_STEPS: usize = 100_000;
 
 /// A parsed `POST /v1/sweep` request.
 #[derive(Debug, Clone)]
@@ -363,17 +357,6 @@ pub fn error_body(message: &str) -> String {
     obj(vec![("error", Json::Str(message.to_owned()))]).emit()
 }
 
-/// Assemble the sweep CSV exactly as `nvp sweep` writes it to stdout — the
-/// header row uses the axis label and each point uses plain `f64` `Display`
-/// formatting — so service results are byte-identical to the CLI path.
-pub fn sweep_csv(axis: ParamAxis, points: &[(f64, f64)]) -> String {
-    let mut csv = format!("{},expected_reliability\n", axis.label());
-    for (x, r) in points {
-        csv.push_str(&format!("{x},{r}\n"));
-    }
-    csv
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -451,11 +434,5 @@ mod tests {
         // ingress refuses it end to end.
         assert!(parse_analyze(&parse(r#"{"budget_ms":18446744073709551616}"#)).is_err());
         assert!(parse_analyze(&parse(r#"{"budget_ms":9007199254740993}"#)).is_err());
-    }
-
-    #[test]
-    fn csv_matches_cli_shape() {
-        let csv = sweep_csv(ParamAxis::Alpha, &[(0.1, 0.9375), (0.2, 0.9)]);
-        assert_eq!(csv, "alpha,expected_reliability\n0.1,0.9375\n0.2,0.9\n");
     }
 }

@@ -18,8 +18,8 @@ use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering}
 use std::sync::{Arc, Mutex, OnceLock, RwLock};
 use std::time::{Duration, Instant};
 
-use nvp_core::analysis::linspace;
-use nvp_core::engine::{AnalysisEngine, SweepPointRecord};
+use nvp_core::analysis::{linspace, sweep_csv};
+use nvp_core::engine::{AnalysisEngine, SweepPointRecord, SweepRequest};
 use nvp_core::jobs::{JobId, JobKind, JobOutcome, JobTable};
 use nvp_core::reliability::ReliabilitySource;
 use nvp_numerics::pool::{Permits, WorkerPool};
@@ -1270,27 +1270,28 @@ fn execute_job(
             Ok(JobOutcome::Analyze(report))
         }
         JobSpec::Sweep(spec) => {
-            let grid = linspace(spec.from, spec.to, spec.steps);
+            let req = SweepRequest {
+                backend: spec.base.backend,
+                budget_ms: spec.base.budget_ms.or(inner.config.job_deadline_ms),
+                ..SweepRequest::new(
+                    spec.base.params.clone(),
+                    spec.axis,
+                    linspace(spec.from, spec.to, spec.steps),
+                    spec.base.policy,
+                )
+            };
             // Per-point completions stream straight into the job's
             // progress journal, from whichever engine worker finished
             // them — the service analog of the CLI's resume journal.
             let observer = |record: SweepPointRecord| inner.jobs.record_point(id, record);
-            let points = engine.sweep_supervised_budgeted(
-                &spec.base.params,
-                spec.axis,
-                &grid,
-                spec.base.policy,
-                spec.base.backend,
-                spec.base.budget_ms.or(inner.config.job_deadline_ms),
-                &observer,
-            )?;
+            let points = engine.sweep(&req, &observer)?;
             let degraded_points = inner
                 .jobs
                 .progress_since(id, 0)
                 .map_or(0, |(_, _, records)| {
                     records.iter().filter(|r| r.degraded).count()
                 });
-            let csv = api::sweep_csv(spec.axis, &points);
+            let csv = sweep_csv(spec.axis, &points);
             Ok(JobOutcome::Sweep {
                 points,
                 csv,

@@ -210,17 +210,19 @@ fn concurrent_sweep_clients_get_byte_identical_csv() {
         .collect();
     assert_eq!(csvs[0], csvs[1]);
     assert_eq!(csvs[1], csvs[2]);
-    // Byte-identical to the CLI path: same grid, same engine API, same
-    // formatting.
-    let reference_points = AnalysisEngine::new()
-        .sweep_with(
-            &SystemParams::paper_six_version(),
-            ParamAxis::Alpha,
-            &nvp_core::analysis::linspace(0.1, 0.9, 4),
-            RewardPolicy::FailedOnly,
-            SolverBackend::Auto,
-        )
-        .unwrap();
+    // Byte-identical to the CLI path: same grid, each point solved on its
+    // own outside the sweep loop, and the CLI's CSV formatting written out
+    // here independently.
+    let engine = AnalysisEngine::new();
+    let params = SystemParams::paper_six_version();
+    let reference_points: Vec<(f64, f64)> = nvp_core::analysis::linspace(0.1, 0.9, 4)
+        .into_iter()
+        .map(|v| {
+            let p = ParamAxis::Alpha.apply(&params, v);
+            let r = engine.expected_reliability(&p, RewardPolicy::FailedOnly, SolverBackend::Auto);
+            (v, r.unwrap())
+        })
+        .collect();
     let mut reference = format!("{},expected_reliability\n", ParamAxis::Alpha.label());
     for (x, r) in &reference_points {
         reference.push_str(&format!("{x},{r}\n"));

@@ -10,9 +10,10 @@
 //! (probability 0 and 1) included.
 
 use nvp_perception::core::analysis::{linspace, ParamAxis};
-use nvp_perception::core::engine::AnalysisEngine;
+use nvp_perception::core::engine::{AnalysisEngine, SweepRequest};
 use nvp_perception::core::params::SystemParams;
 use nvp_perception::core::reward::RewardPolicy;
+use nvp_perception::numerics::Jobs;
 
 const AXES: [(&str, ParamAxis, &str); 3] = [
     (
@@ -37,11 +38,10 @@ fn engine_reproduces_the_golden_n24_sweeps() {
     let mut params = SystemParams::paper_six_version();
     params.n = 24;
     let grid = linspace(0.0, 1.0, 64);
-    let engine = AnalysisEngine::new();
+    let engine = AnalysisEngine::new().with_jobs(Jobs::Fixed(1));
     for (name, axis, golden) in AXES {
-        let points = engine
-            .sweep(&params, axis, &grid, RewardPolicy::FailedOnly)
-            .unwrap();
+        let req = SweepRequest::new(params.clone(), axis, grid.clone(), RewardPolicy::FailedOnly);
+        let points = engine.sweep(&req, &|_| {}).unwrap();
         let mut csv = format!("{},expected_reliability\n", axis.label());
         for (x, r) in &points {
             csv.push_str(&format!("{x},{r}\n"));

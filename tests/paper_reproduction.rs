@@ -7,11 +7,12 @@
 //! ("who wins") exact.
 
 use nvp_perception::core::analysis::{
-    expected_reliability, find_crossover, optimal_rejuvenation_interval, sweep, ParamAxis,
-    SolverBackend,
+    expected_reliability, find_crossover, optimal_rejuvenation_interval, ParamAxis, SolverBackend,
 };
+use nvp_perception::core::engine::{AnalysisEngine, SweepRequest};
 use nvp_perception::core::params::SystemParams;
 use nvp_perception::core::reward::RewardPolicy;
+use nvp_perception::numerics::Jobs;
 
 fn r(params: &SystemParams) -> f64 {
     expected_reliability(params, RewardPolicy::FailedOnly, SolverBackend::Auto).unwrap()
@@ -64,13 +65,16 @@ fn fig3_interior_optimum() {
         (350.0..=700.0).contains(&opt),
         "optimum at {opt} s (paper: 400-450 s)"
     );
-    let curve = sweep(
-        &params,
+    let req = SweepRequest::new(
+        params,
         ParamAxis::RejuvenationInterval,
-        &[200.0, opt, 3000.0],
+        vec![200.0, opt, 3000.0],
         RewardPolicy::FailedOnly,
-    )
-    .unwrap();
+    );
+    let curve = AnalysisEngine::new()
+        .with_jobs(Jobs::Fixed(1))
+        .sweep(&req, &|_| {})
+        .unwrap();
     assert!(opt_val > curve[0].1, "optimum must beat 200 s");
     assert!(
         opt_val > curve[2].1 + 0.05,
@@ -152,23 +156,19 @@ fn fig4b_alpha_sensitivity() {
 /// ≈13% and the four-version by ≈5%, with six-version better everywhere.
 #[test]
 fn fig4c_p_sensitivity() {
-    let p4 = SystemParams::paper_four_version();
-    let p6 = SystemParams::paper_six_version();
-    let grid = [0.01, 0.05, 0.1, 0.15, 0.2];
-    let s4 = sweep(
-        &p4,
-        ParamAxis::HealthyInaccuracy,
-        &grid,
-        RewardPolicy::FailedOnly,
-    )
-    .unwrap();
-    let s6 = sweep(
-        &p6,
-        ParamAxis::HealthyInaccuracy,
-        &grid,
-        RewardPolicy::FailedOnly,
-    )
-    .unwrap();
+    let engine = AnalysisEngine::new().with_jobs(Jobs::Fixed(1));
+    let sweep = |params| {
+        let grid = vec![0.01, 0.05, 0.1, 0.15, 0.2];
+        let req = SweepRequest::new(
+            params,
+            ParamAxis::HealthyInaccuracy,
+            grid,
+            RewardPolicy::FailedOnly,
+        );
+        engine.sweep(&req, &|_| {}).unwrap()
+    };
+    let s4 = sweep(SystemParams::paper_four_version());
+    let s6 = sweep(SystemParams::paper_six_version());
     for ((x, r4), (_, r6)) in s4.iter().zip(&s6) {
         assert!(r6 > r4, "six-version must win at p = {x}");
     }

@@ -93,8 +93,8 @@ proptest! {
 
 #[cfg(feature = "fault-inject")]
 mod panic_storm {
-    use nvp_perception::core::analysis::{ParamAxis, SolverBackend};
-    use nvp_perception::core::engine::AnalysisEngine;
+    use nvp_perception::core::analysis::ParamAxis;
+    use nvp_perception::core::engine::{AnalysisEngine, SweepRequest};
     use nvp_perception::core::params::SystemParams;
     use nvp_perception::core::reward::RewardPolicy;
     use nvp_perception::numerics::fault::{arm, FaultMode, FaultPlan, Site};
@@ -108,8 +108,13 @@ mod panic_storm {
     /// the sweep and abort the test process.
     #[test]
     fn a_panic_at_every_site_never_aborts_the_sweep() {
-        let params = SystemParams::paper_six_version();
         let grid = [420.0, 600.0, 780.0];
+        let req = SweepRequest::new(
+            SystemParams::paper_six_version(),
+            ParamAxis::RejuvenationInterval,
+            grid.to_vec(),
+            RewardPolicy::FailedOnly,
+        );
         for site in [
             Site::DenseStationary,
             Site::PowerIteration,
@@ -119,13 +124,7 @@ mod panic_storm {
             let engine =
                 AnalysisEngine::new().with_monte_carlo(monte_carlo_hook(SimOptions::default()));
             let guard = arm(FaultPlan::new(site, FaultMode::Panic));
-            let outcome = engine.sweep_parallel_with(
-                &params,
-                ParamAxis::RejuvenationInterval,
-                &grid,
-                RewardPolicy::FailedOnly,
-                SolverBackend::Auto,
-            );
+            let outcome = engine.sweep(&req, &|_| {});
             drop(guard);
             match outcome {
                 Ok(points) => {
@@ -164,29 +163,20 @@ mod panic_storm {
     /// and a dead process.
     #[test]
     fn panic_recovery_still_reproduces_the_healthy_sweep() {
-        let params = SystemParams::paper_six_version();
         let grid = [420.0, 600.0, 780.0];
-        let healthy = AnalysisEngine::new()
-            .sweep_parallel(
-                &params,
-                ParamAxis::RejuvenationInterval,
-                &grid,
-                RewardPolicy::FailedOnly,
-            )
-            .unwrap();
+        let req = SweepRequest::new(
+            SystemParams::paper_six_version(),
+            ParamAxis::RejuvenationInterval,
+            grid.to_vec(),
+            RewardPolicy::FailedOnly,
+        );
+        let healthy = AnalysisEngine::new().sweep(&req, &|_| {}).unwrap();
         // One panic per grid point (the dense solve of each fresh chain):
         // every point recovers through the iterative alternate backend.
         let engine =
             AnalysisEngine::new().with_monte_carlo(monte_carlo_hook(SimOptions::default()));
         let guard = arm(FaultPlan::new(Site::DenseStationary, FaultMode::Panic).times(grid.len()));
-        let swept = engine
-            .sweep_parallel(
-                &params,
-                ParamAxis::RejuvenationInterval,
-                &grid,
-                RewardPolicy::FailedOnly,
-            )
-            .unwrap();
+        let swept = engine.sweep(&req, &|_| {}).unwrap();
         drop(guard);
         for ((x, y), (hx, hy)) in swept.iter().zip(&healthy) {
             assert_eq!(x.to_bits(), hx.to_bits());
