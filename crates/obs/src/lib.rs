@@ -13,9 +13,10 @@
 //!   default and gated behind a single relaxed atomic load so disabled
 //!   tracing stays out of hot loops.
 //! - [`metrics`]: a registry of counters, gauges, and log-scale latency
-//!   histograms with deterministic, mergeable buckets. `SolverStats` in
-//!   `nvp-core` is rebuilt on top of these handles so the human-readable
-//!   stats and the machine-readable exposition can never drift.
+//!   histograms with deterministic, mergeable buckets. Every field of
+//!   `SolverStats` in `nvp-core` is a read of one of these cells, so the
+//!   human-readable stats and the machine-readable exposition can never
+//!   drift.
 //! - [`sink`]: a process-wide stderr diagnostics sink with one line-buffered
 //!   writer, so warnings never interleave with CSV output or each other.
 //! - [`progress`]: rate-limited live sweep progress (completed/total,

@@ -57,6 +57,19 @@ impl Gauge {
         self.0.fetch_max(v, Ordering::Relaxed);
     }
 
+    /// Raise the gauge by `n` (a level that items enter and leave).
+    #[inline]
+    pub fn add(&self, n: u64) {
+        self.0.fetch_add(n, Ordering::Relaxed);
+    }
+
+    /// Lower the gauge by `n`; the caller pairs every `sub` with an
+    /// earlier `add`, so the level never goes below zero.
+    #[inline]
+    pub fn sub(&self, n: u64) {
+        self.0.fetch_sub(n, Ordering::Relaxed);
+    }
+
     pub fn get(&self) -> u64 {
         self.0.load(Ordering::Relaxed)
     }
@@ -126,6 +139,11 @@ impl Histogram {
 
     pub fn count(&self) -> u64 {
         self.0.count.load(Ordering::Relaxed)
+    }
+
+    /// Sum of every recorded sample (the `_sum` series).
+    pub fn sum(&self) -> u64 {
+        self.0.sum.load(Ordering::Relaxed)
     }
 
     pub fn snapshot(&self) -> HistogramSnapshot {
